@@ -1,28 +1,28 @@
 // PAL decision-loop scaling: times run_ppatuner's per-round cost on
-// candidate pools of 10^3 .. 10^5 configurations, new fast paths versus the
-// legacy paths. Both sides are the real production loop — the fast paths
-// (cross-round posterior cache, sweep-based fronts / delta passes, tiled
-// prediction) stay in the library behind PPATunerOptions ablation switches,
-// so the comparison is honest by construction and, critically, the two
-// configurations must produce BIT-IDENTICAL tuner behavior: every run pair
-// is fingerprinted (per-round status counts + final Pareto indices + run
-// accounting) and the bench exits non-zero on any mismatch.
+// candidate pools of 10^3 .. 10^5 configurations. Every run is
+// fingerprinted (per-round status counts + final Pareto indices + run
+// accounting). The 10^3 and 10^4 synthetic runs, the round-capped 10^5 run
+// and the paper's cached Source2 -> Target2 replay at license counts (batch
+// sizes) 1/4/16 are checked against golden fingerprints, recorded while the
+// pairwise / uncached legacy decision loop still existed and agreed with
+// the production loop bit for bit; the bench exits non-zero on any
+// mismatch.
 //
 // Scaling runs use a synthetic analytic benchmark (building a 10^5-point
-// golden table through the bundled PD flow would dominate the bench); the
-// fingerprint-parity sweep additionally replays the paper's cached
-// Source2 -> Target2 benchmark at license counts (batch sizes) 1/4/16.
+// golden table through the bundled PD flow would dominate the bench).
 //
 // Emits BENCH_pal.json (locale-independent; see bench_json.hpp) and a
-// summary table on stdout. `--smoke` runs only the smallest configuration
-// (CI regression gate).
+// summary table on stdout. `--smoke` runs only the 10^3 synthetic and
+// Target2 golden checks and the journal-overhead run (CI regression gate).
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -87,6 +87,15 @@ flow::BenchmarkSet pal_benchmark(const std::string& name, std::size_t n,
 
 // ---- Behavioral fingerprint ----------------------------------------------
 
+// Recorded with both the production and the legacy decision loop (they
+// agreed); any change here is a behavior change of the tuner.
+constexpr std::uint64_t kGoldenSynthetic1k = 0x67aabcf58af89103ULL;
+constexpr std::uint64_t kGoldenSynthetic10k = 0x5720fc573670b2e4ULL;
+constexpr std::uint64_t kGoldenSynthetic100kCapped = 0x7d661df09d696d9eULL;
+constexpr std::uint64_t kGoldenTarget2Batch1 = 0xc87cad2a4553759bULL;
+constexpr std::uint64_t kGoldenTarget2Batch4 = 0x9b3429ed51a68676ULL;
+constexpr std::uint64_t kGoldenTarget2Batch16 = 0x321210ce346045fdULL;
+
 struct Fnv1a {
   std::uint64_t h = 1469598103934665603ULL;
   void mix(std::uint64_t v) {
@@ -103,9 +112,8 @@ struct RunOutcome {
   std::uint64_t fingerprint = 0;
   double wall_s = 0.0;
   /// Mean latency of rounds >= 2 excluding refit rounds: steady-state
-  /// decision-loop cost. Round 1 amortizes the posterior-cache build (same
-  /// O(m^2) work the legacy path repeats every round) and is reported via
-  /// wall_s instead.
+  /// decision-loop cost. Round 1 amortizes the posterior-cache build and is
+  /// reported via wall_s instead.
   double steady_round_s = 0.0;
   /// Mean wall-clock spent inside RunJournal calls per steady round (same
   /// round filter as steady_round_s; 0 when no journal is attached).
@@ -116,13 +124,9 @@ struct RunOutcome {
 RunOutcome run_once(const flow::BenchmarkSet& target,
                     const tuner::SourceData& source_data,
                     const std::vector<std::size_t>& objectives,
-                    tuner::PPATunerOptions options, bool fast) {
+                    tuner::PPATunerOptions options) {
   tuner::BenchmarkCandidatePool pool(&target, objectives);
   auto factory = tuner::make_transfer_gp_factory(source_data);
-
-  options.use_prediction_cache = fast;
-  options.use_fast_fronts = fast;
-  options.tiled_prediction = fast;
 
   Fnv1a fp;
   std::vector<double> round_ts;
@@ -173,12 +177,14 @@ RunOutcome run_once(const flow::BenchmarkSet& target,
 
 struct Entry {
   std::string pool;
-  std::string mode;  // "full" | "capped" | "seed-parity" | "journal"
+  std::string mode;  // "full" | "capped" | "journal"
   std::size_t n = 0;
   std::size_t batch = 0;
-  bool has_legacy = false;
-  RunOutcome fast, legacy;
-  bool match = true;
+  RunOutcome run;
+  /// Expected fingerprint: a golden constant, or for "journal" the
+  /// unjournaled run's. Entries without one are timing-only.
+  std::optional<std::uint64_t> expected;
+  bool match() const { return !expected || run.fingerprint == *expected; }
   /// Durable-run-journal cost as a fraction of steady per-round wall-clock:
   /// RunJournal::write_seconds() per round over the journaled run's round
   /// time ("journal" mode only; < 0 elsewhere). Acceptance budget: <= 2%
@@ -199,52 +205,32 @@ void write_json(const std::vector<Entry>& entries, bool smoke,
     const Entry& e = entries[i];
     std::fprintf(f,
                  "    {\"pool\": \"%s\", \"mode\": \"%s\", \"n\": %zu, "
-                 "\"batch\": %zu, \"rounds\": %zu, \"wall_s_new\": %s, "
-                 "\"steady_round_s_new\": %s",
-                 e.pool.c_str(), e.mode.c_str(), e.n, e.batch, e.fast.rounds,
-                 bench::json_double(e.fast.wall_s, 6).c_str(),
-                 bench::json_double(e.fast.steady_round_s, 6).c_str());
-    if (e.has_legacy) {
-      std::fprintf(
-          f,
-          ", \"wall_s_legacy\": %s, \"steady_round_s_legacy\": %s, "
-          "\"steady_speedup\": %s, \"wall_speedup\": %s",
-          bench::json_double(e.legacy.wall_s, 6).c_str(),
-          bench::json_double(e.legacy.steady_round_s, 6).c_str(),
-          bench::json_double(e.legacy.steady_round_s / e.fast.steady_round_s,
-                             4)
-              .c_str(),
-          bench::json_double(e.legacy.wall_s / e.fast.wall_s, 4).c_str());
-    }
+                 "\"batch\": %zu, \"rounds\": %zu, \"wall_s\": %s, "
+                 "\"steady_round_s\": %s, \"fingerprint\": \"0x%016llx\"",
+                 e.pool.c_str(), e.mode.c_str(), e.n, e.batch, e.run.rounds,
+                 bench::json_double(e.run.wall_s, 6).c_str(),
+                 bench::json_double(e.run.steady_round_s, 6).c_str(),
+                 static_cast<unsigned long long>(e.run.fingerprint));
     if (e.journal_overhead >= 0.0) {
       std::fprintf(f, ", \"journal_overhead_pct\": %s",
                    bench::json_double(100.0 * e.journal_overhead, 4).c_str());
     }
-    std::fprintf(f, ", \"fingerprint_match\": %s}%s\n",
-                 e.match ? "true" : "false",
-                 i + 1 < entries.size() ? "," : "");
+    if (e.expected) {
+      std::fprintf(f, ", \"fingerprint_match\": %s",
+                   e.match() ? "true" : "false");
+    }
+    std::fprintf(f, "}%s\n", i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
 void print_entry(const Entry& e) {
-  if (e.has_legacy) {
-    std::printf(
-        "%-10s %-12s %7zu %5zu %7zu  %9.3fs %9.3fs  %8.2fms %8.2fms  "
-        "%6.2fx  %s\n",
-        e.pool.c_str(), e.mode.c_str(), e.n, e.batch, e.fast.rounds,
-        e.fast.wall_s, e.legacy.wall_s, 1e3 * e.fast.steady_round_s,
-        1e3 * e.legacy.steady_round_s,
-        e.legacy.steady_round_s / e.fast.steady_round_s,
-        e.match ? "match" : "MISMATCH");
-  } else {
-    std::printf("%-10s %-12s %7zu %5zu %7zu  %9.3fs %9s  %8.2fms %8s  %6s  "
-                "%s\n",
-                e.pool.c_str(), e.mode.c_str(), e.n, e.batch, e.fast.rounds,
-                e.fast.wall_s, "-", 1e3 * e.fast.steady_round_s, "-", "-",
-                "n/a");
-  }
+  std::printf("%-10s %-8s %7zu %5zu %7zu  %9.3fs  %8.2fms  0x%016llx  %s\n",
+              e.pool.c_str(), e.mode.c_str(), e.n, e.batch, e.run.rounds,
+              e.run.wall_s, 1e3 * e.run.steady_round_s,
+              static_cast<unsigned long long>(e.run.fingerprint),
+              !e.expected ? "-" : e.match() ? "match" : "MISMATCH");
 }
 
 }  // namespace
@@ -252,7 +238,6 @@ void print_entry(const Entry& e) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::vector<Entry> entries;
-  bool all_match = true;
 
   // Shared synthetic source task (SourceData subsamples to 200 points).
   const auto source_set = pal_benchmark("pal_source", 600, 7, 0.35);
@@ -268,120 +253,100 @@ int main(int argc, char** argv) {
   base.max_rounds = 30;
   base.seed = 42;
 
-  auto run_pair = [&](const flow::BenchmarkSet& target,
-                      const tuner::SourceData& src,
-                      const std::vector<std::size_t>& objectives,
-                      const tuner::PPATunerOptions& opt, const char* pool,
-                      const char* mode) {
+  auto run = [&](const flow::BenchmarkSet& target,
+                 const tuner::SourceData& src,
+                 const tuner::PPATunerOptions& opt, const char* pool,
+                 const char* mode, std::optional<std::uint64_t> expected) {
     Entry e;
     e.pool = pool;
     e.mode = mode;
     e.n = target.size();
     e.batch = opt.batch_size;
-    e.has_legacy = true;
-    e.fast = run_once(target, src, objectives, opt, /*fast=*/true);
-    e.legacy = run_once(target, src, objectives, opt, /*fast=*/false);
-    e.match = e.fast.fingerprint == e.legacy.fingerprint;
-    all_match = all_match && e.match;
+    e.run = run_once(target, src, tuner::kAreaPowerDelay, opt);
+    e.expected = expected;
     entries.push_back(e);
     print_entry(entries.back());
   };
 
-  std::printf("%-10s %-12s %7s %5s %7s  %10s %10s  %10s %10s  %7s\n", "pool",
-              "mode", "n", "batch", "rounds", "wall new", "wall leg",
-              "round new", "round leg", "speedup");
+  std::printf("%-10s %-8s %7s %5s %7s  %10s  %10s  %-18s  %s\n", "pool",
+              "mode", "n", "batch", "rounds", "wall", "round", "fingerprint",
+              "check");
 
-  // Full runs, fast vs legacy, end-to-end.
   {
     const auto target = pal_benchmark("pal_target_1k", 1000, 21, 0.0);
-    run_pair(target, source_data, tuner::kAreaPowerDelay, base, "synthetic",
-             "full");
+    run(target, source_data, base, "synthetic", "full", kGoldenSynthetic1k);
   }
   if (!smoke) {
     {
       const auto target = pal_benchmark("pal_target_10k", 10000, 22, 0.0);
-      run_pair(target, source_data, tuner::kAreaPowerDelay, base, "synthetic",
-               "full");
+      run(target, source_data, base, "synthetic", "full",
+          kGoldenSynthetic10k);
     }
     {
       const auto target = pal_benchmark("pal_target_100k", 100000, 23, 0.0);
-      // Capped parity + per-round timing: the legacy loop is O(N m^2 + N^2)
-      // per round at N = 10^5, so the head-to-head comparison runs a few
-      // rounds; refits are pushed out of the window to keep the per-round
-      // numbers about the decision loop itself (refit cost is identical on
-      // both sides; epoch invalidation is exercised by the runs above).
+      // A few rounds with refits pushed out of the window, so the per-round
+      // numbers are about the decision loop itself; then the full run.
       tuner::PPATunerOptions capped = base;
       capped.max_rounds = 4;
       capped.refit_every = 1000;
-      run_pair(target, source_data, tuner::kAreaPowerDelay, capped,
-               "synthetic", "capped");
-      // End-to-end at 10^5 on the fast path only (the legacy full run
-      // would take tens of minutes without telling us anything new).
-      Entry e;
-      e.pool = "synthetic";
-      e.mode = "full";
-      e.n = target.size();
-      e.batch = base.batch_size;
-      e.has_legacy = false;
-      e.fast = run_once(target, source_data, tuner::kAreaPowerDelay, base,
-                        /*fast=*/true);
-      entries.push_back(e);
-      print_entry(entries.back());
+      run(target, source_data, capped, "synthetic", "capped",
+          kGoldenSynthetic100kCapped);
+      run(target, source_data, base, "synthetic", "full", std::nullopt);
     }
+  }
 
-    // Paper benchmark parity at license counts 1/4/16 (Source2 -> Target2,
-    // cached CSVs). Small pool — this sweep is about bit-identical
-    // behavior on real data, not speed.
+  // Paper benchmark at license counts 1/4/16 (Source2 -> Target2, cached
+  // CSVs). Small pool — this sweep pins behavior on real data, not speed.
+  {
     const auto src2 = bench::load_paper_benchmark("source2");
     const auto tgt2 = bench::load_paper_benchmark("target2");
     const auto src2_data = tuner::SourceData::from_benchmark(
         src2, tuner::kAreaPowerDelay, 200, 11);
-    for (std::size_t batch : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
+    const std::pair<std::size_t, std::uint64_t> golden[] = {
+        {1, kGoldenTarget2Batch1},
+        {4, kGoldenTarget2Batch4},
+        {16, kGoldenTarget2Batch16}};
+    for (const auto& [batch, fingerprint] : golden) {
       tuner::PPATunerOptions opt;
       opt.batch_size = batch;
       opt.max_runs = 80;
       opt.max_rounds = 40;
       opt.refit_every = 5;
       opt.seed = 42;
-      run_pair(tgt2, src2_data, tuner::kAreaPowerDelay, opt, "target2",
-               "seed-parity");
+      run(tgt2, src2_data, opt, "target2", "full", fingerprint);
     }
   }
 
-  // Durable-journal overhead: the identical fast-path run with and without
-  // a RunJournal (fsync-per-commit on, as in production). Acceptance
-  // budget: <= 2% of steady per-round wall-clock at N = 10^4; smoke mode
-  // measures at 10^3, which mostly gates the bit-identical fingerprint.
+  // Durable-journal overhead: the identical run with and without a
+  // RunJournal (fsync-per-commit on, as in production). Acceptance budget:
+  // <= 2% of steady per-round wall-clock at N = 10^4; smoke mode measures
+  // at 10^3, which mostly gates the bit-identical fingerprint.
   {
     const std::size_t n = smoke ? 1000 : 10000;
     const auto target = pal_benchmark("pal_target_journal", n, 22, 0.0);
-    Entry e;
-    e.pool = "synthetic";
-    e.mode = "journal";
-    e.n = n;
-    e.batch = base.batch_size;
-    e.has_legacy = true;
-    e.legacy = run_once(target, source_data, tuner::kAreaPowerDelay, base,
-                        /*fast=*/true);  // unjournaled reference
+    const RunOutcome unjournaled =
+        run_once(target, source_data, tuner::kAreaPowerDelay, base);
     const std::string dir = "bench_pal_journal.journal";
     std::filesystem::remove_all(dir);
     auto jnl = journal::RunJournal::create(dir);
     auto journaled = base;
     journaled.journal = jnl.get();
-    e.fast = run_once(target, source_data, tuner::kAreaPowerDelay, journaled,
-                      /*fast=*/true);
+    Entry e;
+    e.pool = "synthetic";
+    e.mode = "journal";
+    e.n = n;
+    e.batch = base.batch_size;
+    e.run = run_once(target, source_data, tuner::kAreaPowerDelay, journaled);
+    e.expected = unjournaled.fingerprint;
     jnl.reset();
     std::filesystem::remove_all(dir);
-    e.match = e.fast.fingerprint == e.legacy.fingerprint;
-    all_match = all_match && e.match;
     // The journal's per-round cost (~one fsync + a few hundred bytes of
     // buffered appends) is far smaller than run-to-run scheduling noise, so
     // differencing two end-to-end timings cannot resolve it. Instead report
     // the time actually spent inside journal calls — encode + write +
     // fsync, accumulated by the journal itself — per steady round, as a
     // fraction of the journaled run's steady per-round wall-clock.
-    e.journal_overhead = e.fast.steady_journal_s / e.fast.steady_round_s;
+    e.journal_overhead = e.run.steady_journal_s / e.run.steady_round_s;
     entries.push_back(e);
     print_entry(entries.back());
     std::printf("journal overhead: %.2f%% of steady round (budget 2%%)\n",
@@ -389,10 +354,14 @@ int main(int argc, char** argv) {
   }
 
   write_json(entries, smoke, "BENCH_pal.json");
-  if (!all_match) {
-    std::fprintf(stderr,
-                 "FINGERPRINT MISMATCH: fast and legacy paths diverged\n");
-    return 1;
+  for (const Entry& e : entries) {
+    if (!e.match()) {
+      std::fprintf(stderr,
+                   "FINGERPRINT MISMATCH: %s %s n=%zu batch=%zu diverged "
+                   "from its expected fingerprint\n",
+                   e.pool.c_str(), e.mode.c_str(), e.n, e.batch);
+      return 1;
+    }
   }
   std::printf("all fingerprints match\n");
   return 0;

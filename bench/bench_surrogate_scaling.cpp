@@ -1,13 +1,9 @@
 // Surrogate maintenance scaling.
 //
-// Phase 1 (legacy vs incremental, n in {64..512}): times add_observation and
-// optimize_hyperparameters on the legacy code paths (full re-factorization
-// per append, raw Gram rebuild per NLL evaluation) versus the incremental /
-// distance-cached paths that replaced them. Both variants stay in the
-// library behind ablation switches (set_incremental_updates,
-// use_distance_cache), so this bench measures the real production code on
-// both sides and the comparison is honest by construction — the new paths
-// are bit-identical, only faster.
+// Phase 1 (exact tier, n in {64..512}): times the production
+// add_observation (rank-1 factor append) and optimize_hyperparameters
+// (distance-cached NLL) paths. These rows have no comparison arm, so their
+// ops_per_sec_legacy and speedup are null.
 //
 // Phase 2 (exact vs low-rank, n in {2048..65536}): times full
 // hyper-parameter refits on the scalable DTC tier (gp/sparse.hpp, m = 256
@@ -106,52 +102,47 @@ struct PhaseResult {
   std::string phase;
   std::size_t n = 0;  // training-set size the phase ran at
   double ops_per_sec_new = 0.0;
-  double ops_per_sec_legacy = 0.0;
+  /// Comparison arm (phase 2 only); NaN when there is none.
+  double ops_per_sec_legacy = std::numeric_limits<double>::quiet_NaN();
   double speedup() const { return ops_per_sec_new / ops_per_sec_legacy; }
 };
 
 gp::GaussianProcess make_plain(const std::vector<linalg::Vector>& xs,
-                               const linalg::Vector& ys, bool incremental) {
+                               const linalg::Vector& ys) {
   gp::GaussianProcess model(
       std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0), 1e-4);
-  model.set_incremental_updates(incremental);
   model.fit(xs, ys);
   return model;
 }
 
 gp::TransferGaussianProcess make_transfer(
     const std::vector<linalg::Vector>& src_xs, const linalg::Vector& src_ys,
-    const std::vector<linalg::Vector>& tgt_xs, const linalg::Vector& tgt_ys,
-    bool incremental) {
+    const std::vector<linalg::Vector>& tgt_xs, const linalg::Vector& tgt_ys) {
   gp::TransferGaussianProcess model(
       std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0));
-  model.set_incremental_updates(incremental);
   model.fit(src_xs, src_ys, tgt_xs, tgt_ys);
   return model;
 }
 
 // ---------------------------------------------------------------------------
-// Phase 1: legacy vs incremental/cached paths (exact tier)
+// Phase 1: production append and refit (exact tier)
 
 PhaseResult bench_plain_append(std::size_t n) {
   common::Rng rng(100 + n);
   const auto train = draw_points(n, rng);
   const auto extra = draw_points(kAppends, rng);
   const auto train_y = responses(train);
-  PhaseResult r{"plain", "add_observation", n, 0.0, 0.0};
-  for (bool incremental : {true, false}) {
-    std::unique_ptr<gp::GaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          model = std::make_unique<gp::GaussianProcess>(
-              make_plain(train, train_y, incremental));
-        },
-        [&] {
-          for (const auto& x : extra) model->add_observation(x, response(x));
-        },
-        /*min_iters=*/2, /*max_iters=*/50, kAppends);
-    (incremental ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
+  PhaseResult r{"plain", "add_observation", n};
+  std::unique_ptr<gp::GaussianProcess> model;
+  r.ops_per_sec_new = time_budgeted(
+      [&] {
+        model =
+            std::make_unique<gp::GaussianProcess>(make_plain(train, train_y));
+      },
+      [&] {
+        for (const auto& x : extra) model->add_observation(x, response(x));
+      },
+      /*min_iters=*/2, /*max_iters=*/50, kAppends);
   return r;
 }
 
@@ -161,24 +152,20 @@ PhaseResult bench_plain_refit(std::size_t n) {
   const auto train_y = responses(train);
   gp::FitOptions opt;
   opt.max_points = n;  // time the full n, not the default subsample cap
-  PhaseResult r{"plain", "optimize_hyperparameters", n, 0.0, 0.0};
-  for (bool cached : {true, false}) {
-    opt.use_distance_cache = cached;
-    std::unique_ptr<gp::GaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          // Fresh model per iter so every timed refit starts from the same
-          // hyperparameters and walks the same search trajectory.
-          model = std::make_unique<gp::GaussianProcess>(
-              make_plain(train, train_y, true));
-        },
-        [&] {
-          common::Rng rng(7);  // same plan every iter and both ways
-          model->optimize_hyperparameters(rng, opt);
-        },
-        /*min_iters=*/1, /*max_iters=*/20);
-    (cached ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
+  PhaseResult r{"plain", "optimize_hyperparameters", n};
+  std::unique_ptr<gp::GaussianProcess> model;
+  r.ops_per_sec_new = time_budgeted(
+      [&] {
+        // Fresh model per iter so every timed refit starts from the same
+        // hyperparameters and walks the same search trajectory.
+        model =
+            std::make_unique<gp::GaussianProcess>(make_plain(train, train_y));
+      },
+      [&] {
+        common::Rng rng(7);  // same plan every iter
+        model->optimize_hyperparameters(rng, opt);
+      },
+      /*min_iters=*/1, /*max_iters=*/20);
   return r;
 }
 
@@ -191,22 +178,19 @@ PhaseResult bench_transfer_append(std::size_t n) {
   const auto extra = draw_points(kAppends, rng);
   const auto src_y = responses(src);
   const auto tgt_y = responses(tgt);
-  PhaseResult r{"transfer", "add_observation", n + n / 4, 0.0, 0.0};
-  for (bool incremental : {true, false}) {
-    std::unique_ptr<gp::TransferGaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          model = std::make_unique<gp::TransferGaussianProcess>(
-              make_transfer(src, src_y, tgt, tgt_y, incremental));
-        },
-        [&] {
-          for (const auto& x : extra) {
-            model->add_target_observation(x, response(x));
-          }
-        },
-        /*min_iters=*/2, /*max_iters=*/50, kAppends);
-    (incremental ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
+  PhaseResult r{"transfer", "add_observation", n + n / 4};
+  std::unique_ptr<gp::TransferGaussianProcess> model;
+  r.ops_per_sec_new = time_budgeted(
+      [&] {
+        model = std::make_unique<gp::TransferGaussianProcess>(
+            make_transfer(src, src_y, tgt, tgt_y));
+      },
+      [&] {
+        for (const auto& x : extra) {
+          model->add_target_observation(x, response(x));
+        }
+      },
+      /*min_iters=*/2, /*max_iters=*/50, kAppends);
   return r;
 }
 
@@ -219,22 +203,18 @@ PhaseResult bench_transfer_refit(std::size_t n) {
   gp::TransferFitOptions opt;
   opt.max_source_points = n;
   opt.max_target_points = n;
-  PhaseResult r{"transfer", "optimize_hyperparameters", n + n / 4, 0.0, 0.0};
-  for (bool cached : {true, false}) {
-    opt.use_distance_cache = cached;
-    std::unique_ptr<gp::TransferGaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          model = std::make_unique<gp::TransferGaussianProcess>(
-              make_transfer(src, src_y, tgt, tgt_y, true));
-        },
-        [&] {
-          common::Rng rng(7);
-          model->optimize_hyperparameters(rng, opt);
-        },
-        /*min_iters=*/1, /*max_iters=*/20);
-    (cached ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
+  PhaseResult r{"transfer", "optimize_hyperparameters", n + n / 4};
+  std::unique_ptr<gp::TransferGaussianProcess> model;
+  r.ops_per_sec_new = time_budgeted(
+      [&] {
+        model = std::make_unique<gp::TransferGaussianProcess>(
+            make_transfer(src, src_y, tgt, tgt_y));
+      },
+      [&] {
+        common::Rng rng(7);
+        model->optimize_hyperparameters(rng, opt);
+      },
+      /*min_iters=*/1, /*max_iters=*/20);
   return r;
 }
 
@@ -283,8 +263,7 @@ PhaseResult bench_lowrank_refit(std::size_t n, std::size_t exact_ceiling) {
   common::Rng data_rng(500 + n);
   const auto train = draw_points(n, data_rng);
   const auto train_y = responses(train);
-  PhaseResult r{"plain", "lowrank_refit", n, 0.0,
-                std::numeric_limits<double>::quiet_NaN()};
+  PhaseResult r{"plain", "lowrank_refit", n};
   r.ops_per_sec_new = bench_large_refit_tier(n, train, train_y, true);
   if (n <= exact_ceiling) {
     r.ops_per_sec_legacy = bench_large_refit_tier(n, train, train_y, false);
@@ -300,7 +279,7 @@ PhaseResult bench_warm_refit(std::size_t n) {
   common::Rng data_rng(600 + n);
   const auto train = draw_points(n, data_rng);
   const auto train_y = responses(train);
-  PhaseResult r{"plain", "warm_refit", n, 0.0, 0.0};
+  PhaseResult r{"plain", "warm_refit", n};
   for (bool warm : {true, false}) {
     auto opt = large_refit_options(n);
     // A production refit budget: the cold arm spends all of it, the warm arm
@@ -344,14 +323,14 @@ PhaseResult bench_multistart(std::size_t n) {
   opt.max_points = n;
   opt.restarts = 8;
   opt.max_evals = 40;
-  PhaseResult r{"plain", "multistart_refit", n, 0.0, 0.0};
+  PhaseResult r{"plain", "multistart_refit", n};
   for (bool parallel : {true, false}) {
     opt.parallel_restarts = parallel;
     std::unique_ptr<gp::GaussianProcess> model;
     const double ops = time_budgeted(
         [&] {
           model = std::make_unique<gp::GaussianProcess>(
-              make_plain(train, train_y, true));
+              make_plain(train, train_y));
         },
         [&] {
           common::Rng rng(7);

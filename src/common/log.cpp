@@ -1,11 +1,14 @@
 #include "common/log.hpp"
 
+#include <atomic>
 #include <cstdio>
 
 namespace ppat::common {
 namespace {
 
-LogLevel g_level = LogLevel::kWarn;
+// Relaxed ordering: the level guards no other data, it only has to be read
+// and written without a data race.
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -25,12 +28,14 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
 }
 

@@ -2,8 +2,8 @@
 //
 // The library is used both from benches (where progress lines are wanted) and
 // from unit tests (where they are noise), so verbosity is a global runtime
-// switch. Not thread-safe across interleaved messages; the reproduction is
-// single-threaded by design (deterministic experiments, 1-core CI).
+// switch. The threshold is atomic, so pool, session and coordinator threads
+// may log while another thread changes it; each line is one stdio call.
 #pragma once
 
 #include <sstream>

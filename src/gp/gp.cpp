@@ -71,7 +71,7 @@ bool GaussianProcess::try_append_to_factor(const linalg::Vector& x) {
   // The rank-1 path is only valid against a jitter-free factor: a full
   // re-factorization restarts the jitter escalation at zero, so extending a
   // jittered factor would diverge from it.
-  if (!incremental_updates_ || !chol_ || chol_->jitter_used() != 0.0) {
+  if (!chol_ || chol_->jitter_used() != 0.0) {
     return false;
   }
   const std::size_t n = xs_.size() - 1;  // points before the append
@@ -148,14 +148,10 @@ void GaussianProcess::add_observation_batch(
 void GaussianProcess::factorize() {
   linalg::Matrix k = kernel_->gram(xs_);
   k.add_to_diagonal(noise_variance_);
-  // With incremental updates ablated we also factor with the reference
-  // elimination, so the switch reproduces the pre-PR cost model end to end
-  // (bench_surrogate_scaling's legacy side); the values are identical.
   // The final fit escalates jitter with a scale-aware cap (and logs what it
   // needed): near-duplicate revealed points must degrade conditioning
   // gracefully, not abort a long tuning run.
-  auto chol = linalg::CholeskyFactor::compute_with_adaptive_jitter(
-      k, /*use_reference=*/!incremental_updates_);
+  auto chol = linalg::CholeskyFactor::compute_with_adaptive_jitter(k);
   if (!chol) {
     throw std::runtime_error(
         "GaussianProcess: kernel matrix not positive definite");
@@ -194,8 +190,7 @@ double GaussianProcess::log_marginal_likelihood() const {
 }
 
 double GaussianProcess::nll_for(const linalg::Vector& log_params,
-                                const std::vector<std::size_t>& subset,
-                                bool reference_chol) const {
+                                const std::vector<std::size_t>& subset) const {
   // Reject out-of-range points before any allocation: hyper-parameter
   // search probes many infeasible candidates and this path must stay cheap.
   for (double p : log_params) {
@@ -219,8 +214,7 @@ double GaussianProcess::nll_for(const linalg::Vector& log_params,
   }
   linalg::Matrix gram = k->gram(xs);
   gram.add_to_diagonal(noise);
-  auto chol = linalg::CholeskyFactor::compute_with_jitter(gram, 0.0, 1e-2,
-                                                          reference_chol);
+  auto chol = linalg::CholeskyFactor::compute_with_jitter(gram);
   if (!chol) return std::numeric_limits<double>::infinity();
   const linalg::Vector alpha = chol->solve(ys);
   const double n = static_cast<double>(xs.size());
@@ -306,8 +300,7 @@ void GaussianProcess::execute_refit(const RefitPlan& plan) {
   // are hyper-parameter independent: compute them once for the subset, then
   // each NLL evaluation is a scalar map + Cholesky instead of an O(n^2 d)
   // Gram rebuild from raw inputs.
-  const bool cached =
-      options.use_distance_cache && kernel_->supports_pairwise_cache();
+  const bool cached = kernel_->supports_pairwise_cache();
   Kernel::PairwiseStats stats;
   linalg::Vector ys_subset;
   Landmarks lm;
@@ -325,14 +318,10 @@ void GaussianProcess::execute_refit(const RefitPlan& plan) {
       stats = kernel_->pairwise_stats(xs);
     }
   }
-  // When the cache is ablated by option (not merely unsupported by the
-  // kernel) the whole legacy refit is reproduced, reference factorization
-  // included, so the perf comparison is against the true pre-PR path.
-  const bool legacy = !options.use_distance_cache;
   auto objective = [&](const linalg::Vector& p) {
     if (sparse_obj) return nll_low_rank(p, lm, ys_subset);
     return cached ? nll_from_cache(p, stats, ys_subset)
-                  : nll_for(p, plan.subset, legacy);
+                  : nll_for(p, plan.subset);
   };
 
   linalg::NelderMeadOptions nm;
@@ -417,7 +406,7 @@ void GaussianProcess::predict_batch(const std::vector<linalg::Vector>& xs,
   variances.resize(m);
   if (m == 0) return;
   if (!tiled_prediction_) {
-    // Legacy path: one monolithic n x m cross-covariance block.
+    // Reference path: one monolithic n x m cross-covariance block.
     linalg::Matrix k_star = kernel_->cross(xs_, xs);
     for (std::size_t j = 0; j < m; ++j) {
       double mu = 0.0;

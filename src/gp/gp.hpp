@@ -12,9 +12,9 @@
 //   * add_observation / add_observation_batch extend the Cholesky factor by
 //     rank-1 bordering (O(n^2) per point) whenever the current factor needed
 //     no jitter; the result is bit-identical to a full re-factorization.
-//   * optimize_hyperparameters precomputes the NLL subset's squared-distance
-//     matrix once and re-evaluates only the scalar kernel map per
-//     Nelder–Mead iteration for isotropic kernels.
+//   * optimize_hyperparameters precomputes the NLL subset's pairwise
+//     statistics once and re-evaluates only the scalar kernel map per
+//     Nelder–Mead iteration for kernels that support the pairwise cache.
 //
 // The randomized part of a hyper-parameter refit (subset choice, restart
 // perturbations) is split out as prepare_refit() so the tuner can draw the
@@ -45,12 +45,6 @@ struct FitOptions {
   std::size_t max_evals = 80;        ///< NLL evaluations per start
   std::size_t max_points = 300;      ///< subsample cap for the NLL objective
   double min_noise_variance = 1e-6;  ///< lower clamp on fitted noise
-  /// Precompute the subset's pairwise statistics (squared distances, plus
-  /// categorical mismatch counts for the mixed kernel) once per refit and
-  /// evaluate only the scalar kernel map per NLL call (bit-identical to the
-  /// direct path). Off switch exists for perf ablation
-  /// (bench_surrogate_scaling).
-  bool use_distance_cache = true;
   /// Early-stop tolerance on the Nelder-Mead simplex NLL spread. 0 (the
   /// default) keeps the optimizer's built-in tolerance — bit-identical
   /// legacy behavior; a positive value overrides it. Pairs well with
@@ -143,17 +137,11 @@ class GaussianProcess {
   const Kernel& kernel() const { return *kernel_; }
   double noise_variance() const { return noise_variance_; }
 
-  /// Perf ablation switch: disable the rank-1 factor update so every
-  /// add_observation re-factorizes from scratch (the pre-incremental code
-  /// path, timed by bench_surrogate_scaling).
-  void set_incremental_updates(bool enabled) { incremental_updates_ = enabled; }
-  bool incremental_updates() const { return incremental_updates_; }
-
-  /// Perf ablation switch: process predict_batch candidates in fixed-width
-  /// panels fanned across the thread pool instead of one monolithic
-  /// cross-covariance block. Bit-identical results either way.
+  /// Process predict_batch candidates in fixed-width panels fanned across
+  /// the thread pool (default) or as one monolithic cross-covariance block,
+  /// the reference the tiled path is tested against. Bit-identical results
+  /// either way.
   void set_tiled_prediction(bool enabled) { tiled_prediction_ = enabled; }
-  bool tiled_prediction() const { return tiled_prediction_; }
 
   /// Configures the scalable low-rank tier (gp/sparse.hpp). The tier is
   /// consulted at fit/refit boundaries only: when enabled, the kernel is
@@ -202,8 +190,7 @@ class GaussianProcess {
   /// positive definiteness).
   bool try_append_to_factor(const linalg::Vector& x);
   double nll_for(const linalg::Vector& log_params,
-                 const std::vector<std::size_t>& subset,
-                 bool reference_chol = false) const;
+                 const std::vector<std::size_t>& subset) const;
   double nll_from_cache(const linalg::Vector& log_params,
                         const Kernel::PairwiseStats& stats,
                         const linalg::Vector& ys_subset) const;
@@ -212,7 +199,6 @@ class GaussianProcess {
 
   std::unique_ptr<Kernel> kernel_;
   double noise_variance_;
-  bool incremental_updates_ = true;
   bool tiled_prediction_ = true;
   LowRankOptions low_rank_;
   std::uint64_t posterior_epoch_ = 0;

@@ -162,12 +162,9 @@ void TransferGaussianProcess::factorize() {
   linalg::Matrix k = build_joint_kernel(
       *kernel_, task_correlation(), 1.0 / beta_s_, 1.0 / beta_t_,
       source_xs_, target_xs_);
-  // Reference factorization when incremental updates are ablated, so the
-  // switch reproduces the pre-PR cost model (values are identical). Scale-
-  // aware adaptive jitter on the final fit: an ill-conditioned joint kernel
-  // from near-duplicate reveals must not abort a long run.
-  auto chol = linalg::CholeskyFactor::compute_with_adaptive_jitter(
-      k, /*use_reference=*/!incremental_updates_);
+  // Scale-aware adaptive jitter on the final fit: an ill-conditioned joint
+  // kernel from near-duplicate reveals must not abort a long run.
+  auto chol = linalg::CholeskyFactor::compute_with_adaptive_jitter(k);
   if (!chol) {
     throw std::runtime_error(
         "TransferGaussianProcess: joint kernel not positive definite");
@@ -207,7 +204,7 @@ bool TransferGaussianProcess::try_append_to_factor(const linalg::Vector& x) {
   // Only extend jitter-free factors: a full re-factorization restarts the
   // jitter escalation from zero and would otherwise diverge (see
   // GaussianProcess::try_append_to_factor).
-  if (!incremental_updates_ || !chol_ || chol_->jitter_used() != 0.0) {
+  if (!chol_ || chol_->jitter_used() != 0.0) {
     return false;
   }
   const double rho = task_correlation();
@@ -293,7 +290,7 @@ double TransferGaussianProcess::log_marginal_likelihood() const {
 double TransferGaussianProcess::joint_nll(
     const linalg::Vector& log_params,
     const std::vector<std::size_t>& src_subset,
-    const std::vector<std::size_t>& tgt_subset, bool reference_chol) const {
+    const std::vector<std::size_t>& tgt_subset) const {
   for (double p : log_params) {
     if (!std::isfinite(p) || std::fabs(p) > 12.0) {
       return std::numeric_limits<double>::infinity();
@@ -324,8 +321,7 @@ double TransferGaussianProcess::joint_nll(
   }
   linalg::Matrix gram =
       build_joint_kernel(*k, rho, src_noise, tgt_noise, xs_s, xs_t);
-  auto chol = linalg::CholeskyFactor::compute_with_jitter(gram, 0.0, 1e-2,
-                                                          reference_chol);
+  auto chol = linalg::CholeskyFactor::compute_with_jitter(gram);
   if (!chol) return std::numeric_limits<double>::infinity();
   const linalg::Vector alpha = chol->solve(ys);
   const double n = static_cast<double>(ys.size());
@@ -427,8 +423,7 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
   // distances (and categorical mismatch counts, for the mixed kernel) are
   // hyper-parameter independent, so each NLL evaluation only re-applies the
   // scalar kernel map and the cross-task factor.
-  const bool cached =
-      options.use_distance_cache && kernel_->supports_pairwise_cache();
+  const bool cached = kernel_->supports_pairwise_cache();
   Kernel::PairwiseStats stats;
   linalg::Vector ys_subset;
   Landmarks lm;
@@ -450,16 +445,13 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
       stats = kernel_->pairwise_stats(pts);
     }
   }
-  // Option-ablated (vs kernel-unsupported) cache selects the full legacy
-  // refit, reference factorization included (see GaussianProcess).
-  const bool legacy = !options.use_distance_cache;
   auto objective = [&](const linalg::Vector& p) {
     if (sparse_obj) {
       return joint_nll_low_rank(p, lm, plan.src_subset.size(), ys_subset);
     }
     return cached ? joint_nll_from_cache(p, stats, plan.src_subset.size(),
                                          ys_subset)
-                  : joint_nll(p, plan.src_subset, plan.tgt_subset, legacy);
+                  : joint_nll(p, plan.src_subset, plan.tgt_subset);
   };
 
   linalg::NelderMeadOptions nm;
@@ -537,7 +529,7 @@ void TransferGaussianProcess::predict_batch(
   const double rho = task_correlation();
 
   if (!tiled_prediction_) {
-    // Legacy path: one monolithic cross-covariance block. k_star:
+    // Reference path: one monolithic cross-covariance block. k_star:
     // (n_src + n_tgt) rows x m candidate columns; source rows carry the
     // cross-task factor (candidates are target-task points).
     linalg::Matrix k_star(n_tot, m);

@@ -44,12 +44,6 @@ struct TransferFitOptions {
   std::size_t max_source_points = 200;  ///< subsample cap for the objective
   std::size_t max_target_points = 200;
   double min_noise_variance = 1e-6;
-  /// Precompute the joint subset's pairwise statistics (squared distances,
-  /// plus categorical mismatch counts for the mixed kernel) once per refit;
-  /// each NLL evaluation then applies only the scalar kernel map and the
-  /// cross-task attenuation rho (bit-identical to the direct path). Off
-  /// switch for perf ablation.
-  bool use_distance_cache = true;
   /// Nelder-Mead simplex NLL-spread early stop; 0 (default) keeps the
   /// optimizer default — bit-identical legacy behavior (see
   /// FitOptions::nm_f_tolerance).
@@ -111,13 +105,9 @@ class TransferGaussianProcess {
   /// Deterministic part of a refit; thread-safe across distinct models.
   void execute_refit(const RefitPlan& plan);
 
-  /// Perf ablation switch (see GaussianProcess::set_incremental_updates).
-  void set_incremental_updates(bool enabled) { incremental_updates_ = enabled; }
-  bool incremental_updates() const { return incremental_updates_; }
-
-  /// Perf ablation switch (see GaussianProcess::set_tiled_prediction).
+  /// Tiled (default) or reference predict_batch (see
+  /// GaussianProcess::set_tiled_prediction).
   void set_tiled_prediction(bool enabled) { tiled_prediction_ = enabled; }
-  bool tiled_prediction() const { return tiled_prediction_; }
 
   /// Configures the scalable low-rank tier over the JOINT system (source
   /// plus target points; see GaussianProcess::set_low_rank). Landmarks are
@@ -182,8 +172,7 @@ class TransferGaussianProcess {
   bool try_append_to_factor(const linalg::Vector& x);
   double joint_nll(const linalg::Vector& log_params,
                    const std::vector<std::size_t>& src_subset,
-                   const std::vector<std::size_t>& tgt_subset,
-                   bool reference_chol = false) const;
+                   const std::vector<std::size_t>& tgt_subset) const;
   double joint_nll_from_cache(const linalg::Vector& log_params,
                               const Kernel::PairwiseStats& stats,
                               std::size_t n_src,
@@ -194,7 +183,6 @@ class TransferGaussianProcess {
   static double rho_from(double a, double b);
 
   std::unique_ptr<Kernel> kernel_;
-  bool incremental_updates_ = true;
   bool tiled_prediction_ = true;
   LowRankOptions low_rank_;
   std::uint64_t posterior_epoch_ = 0;

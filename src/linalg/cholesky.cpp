@@ -190,21 +190,19 @@ std::optional<CholeskyFactor> CholeskyFactor::compute_reference(
 }
 
 std::optional<CholeskyFactor> CholeskyFactor::compute_with_jitter(
-    const Matrix& a, double initial_jitter, double max_jitter,
-    bool use_reference) {
+    const Matrix& a, double initial_jitter, double max_jitter) {
   assert(a.rows() == a.cols());
   double jitter = initial_jitter;
   for (;;) {
     std::optional<CholeskyFactor> f;
-    if (jitter == 0.0 && !use_reference) {
-      // The common case needs no diagonal shift; factor `a` directly and
-      // skip the O(n^2) copy. (The reference path keeps the pre-PR copy so
-      // the legacy ablation times the pre-PR code faithfully.)
-      f = compute(a);
-    } else {
+    if (jitter > 0.0) {
       Matrix aj = a;
-      if (jitter > 0.0) aj.add_to_diagonal(jitter);
-      f = use_reference ? compute_reference(aj) : compute(aj);
+      aj.add_to_diagonal(jitter);
+      f = compute(aj);
+    } else {
+      // The common case needs no diagonal shift; factor `a` directly and
+      // skip the O(n^2) copy.
+      f = compute(a);
     }
     if (f) {
       f->jitter_ = jitter;
@@ -227,14 +225,14 @@ std::optional<CholeskyFactor> CholeskyFactor::compute_with_jitter(
 }
 
 std::optional<CholeskyFactor> CholeskyFactor::compute_with_adaptive_jitter(
-    const Matrix& a, bool use_reference, double rel_cap, double abs_cap) {
+    const Matrix& a, double rel_cap, double abs_cap) {
   assert(a.rows() == a.cols());
   double max_diag = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) {
     max_diag = std::max(max_diag, std::fabs(a(i, i)));
   }
   const double max_jitter = std::max(abs_cap, rel_cap * max_diag);
-  auto f = compute_with_jitter(a, 0.0, max_jitter, use_reference);
+  auto f = compute_with_jitter(a, 0.0, max_jitter);
   if (f && f->jitter_used() > 0.0) {
     PPAT_WARN << "Cholesky factorization of " << a.rows() << "x" << a.cols()
               << " matrix needed diagonal jitter " << f->jitter_used()

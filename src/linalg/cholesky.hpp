@@ -33,17 +33,14 @@ class CholeskyFactor {
   static std::optional<CholeskyFactor> compute(const Matrix& a);
 
   /// Textbook scalar elimination — the pre-optimization implementation,
-  /// retained as the bit-exactness oracle for tests and as the timing
-  /// baseline for bench_surrogate_scaling's legacy ablation.
+  /// retained as the bit-exactness oracle for tests.
   static std::optional<CholeskyFactor> compute_reference(const Matrix& a);
 
   /// Factors `a + jitter*I`, escalating jitter by 10x up to `max_jitter`
   /// starting at `initial_jitter` (0 means: first try no jitter). Returns
-  /// nullopt only if even the maximum jitter fails. `use_reference` selects
-  /// compute_reference() (legacy-ablation timing; identical values).
+  /// nullopt only if even the maximum jitter fails.
   static std::optional<CholeskyFactor> compute_with_jitter(
-      const Matrix& a, double initial_jitter = 0.0,
-      double max_jitter = 1e-2, bool use_reference = false);
+      const Matrix& a, double initial_jitter = 0.0, double max_jitter = 1e-2);
 
   /// compute_with_jitter with a scale-aware escalation ceiling:
   /// max(`abs_cap`, `rel_cap` * max|diag|). Long tuning runs reveal
@@ -56,8 +53,7 @@ class CholeskyFactor {
   /// needed, the final value is logged at warning level so drifting
   /// conditioning is visible in run logs.
   static std::optional<CholeskyFactor> compute_with_adaptive_jitter(
-      const Matrix& a, bool use_reference = false, double rel_cap = 1e-4,
-      double abs_cap = 1e-2);
+      const Matrix& a, double rel_cap = 1e-4, double abs_cap = 1e-2);
 
   std::size_t size() const { return l_.rows(); }
   const Matrix& lower() const { return l_; }

@@ -26,14 +26,6 @@ bool leq_with_slack(const linalg::Vector& a, const linalg::Vector& b,
   return true;
 }
 
-/// Componentwise a <= b.
-bool leq(const linalg::Vector& a, const linalg::Vector& b) {
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k] > b[k]) return false;
-  }
-  return true;
-}
-
 /// x' (optimistic corner lo_j) could still delta-dominate x (pessimistic
 /// corner hi_i) in the optimistic/pessimistic worst case:
 /// lo_j <= hi_i - delta componentwise (paper Eq. (12)'s negation).
@@ -46,33 +38,11 @@ bool dominates_with_margin(const linalg::Vector& lo_j,
   return true;
 }
 
-/// Indices (into `subset`) whose corner vectors are non-dominated (weak
-/// domination, minimization) among the subset. Pairwise O(|subset|^2)
-/// reference; the legacy-ablation path and the >= 4-objective fallback.
+/// Indices (into `subset`) whose corner vectors are non-dominated among the
+/// subset (minimization): not strictly dominated by a distinct corner, every
+/// duplicate copy kept, which is pareto::nondominated_positions with
+/// kKeepAll. Positions come back ascending, so the front keeps subset order.
 std::vector<std::size_t> corner_front(
-    const std::vector<std::size_t>& subset,
-    const std::vector<linalg::Vector>& corners) {
-  std::vector<std::size_t> front;
-  for (std::size_t i : subset) {
-    bool dominated = false;
-    for (std::size_t j : subset) {
-      if (i == j) continue;
-      if (leq(corners[j], corners[i]) && corners[j] != corners[i]) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
-}
-
-/// Sweep-based corner_front: the survivor set is exactly "not strictly
-/// dominated by a distinct corner, every duplicate copy kept", which is
-/// pareto::nondominated_positions with kKeepAll. Positions come back
-/// ascending, so mapping through `subset` reproduces the reference's
-/// subset-order output.
-std::vector<std::size_t> corner_front_fast(
     const std::vector<std::size_t>& subset,
     const std::vector<linalg::Vector>& corners) {
   std::vector<pareto::Point> pts;
@@ -100,7 +70,7 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
   // (prepare_refit) and all parallel partitions are bit-stable, so the
   // results are identical for every thread count. A caller-provided
   // per-session pool is installed as this thread's current pool for the
-  // whole run; only the legacy single-run path sizes the global singleton
+  // whole run; only the single-run path sizes the global singleton
   // (which is unsafe under concurrent sessions — resizing joins workers
   // that other sessions may be running on).
   std::optional<common::ScopedPool> session_pool;
@@ -314,10 +284,7 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
   // sequential loop would.
   std::vector<std::unique_ptr<Surrogate>> models;
   models.reserve(n_obj);
-  for (std::size_t k = 0; k < n_obj; ++k) {
-    models.push_back(factory(k));
-    models.back()->set_tiled_prediction(options.tiled_prediction);
-  }
+  for (std::size_t k = 0; k < n_obj; ++k) models.push_back(factory(k));
   {
     common::TaskGroup group;
     for (std::size_t k = 0; k < n_obj; ++k) {
@@ -338,12 +305,6 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
   refit_all();
 
   const double half_width = std::sqrt(options.tau);
-  const bool fast_fronts = options.use_fast_fronts;
-  auto front_of = [fast_fronts](const std::vector<std::size_t>& subset,
-                                const std::vector<linalg::Vector>& corners) {
-    return fast_fronts ? corner_front_fast(subset, corners)
-                       : corner_front(subset, corners);
-  };
   // Alive candidates (not dropped), ascending. Pruned in place as
   // candidates drop — the set only ever shrinks, so per-round work tracks
   // the surviving pool instead of rescanning all n candidates.
@@ -398,14 +359,10 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
       for (std::size_t k = 0; k < n_obj; ++k) {
         group.run([&, k] {
           linalg::Vector means, vars;
-          if (options.use_prediction_cache) {
-            // Candidate indices are stable round to round, so the cache
-            // extends last round's forward solves instead of re-solving.
-            models[k]->predict_batch_cached(alive_unrevealed, inputs, means,
-                                            vars);
-          } else {
-            models[k]->predict_batch(inputs, means, vars);
-          }
+          // Candidate indices are stable round to round, so the cache
+          // extends last round's forward solves instead of re-solving.
+          models[k]->predict_batch_cached(alive_unrevealed, inputs, means,
+                                          vars);
           for (std::size_t c = 0; c < alive_unrevealed.size(); ++c) {
             const std::size_t i = alive_unrevealed[c];
             const double sd = std::sqrt(std::max(0.0, vars[c]));
@@ -455,13 +412,13 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
     // delta passes are batched weak-dominance queries against a front:
     // candidate i DROPS when some other front member's pessimistic corner
     // satisfies hi_j <= lo_i + delta, and classifies PARETO when no other
-    // front member's optimistic corner satisfies lo_j <= hi_i - delta. The
-    // sweep path answers every query in one O((F + Q) log) pass; its only
+    // front member's optimistic corner satisfies lo_j <= hi_i - delta. A
+    // sweep answers every query in one O((F + Q) log) pass; its only
     // subtlety is self-exclusion (j != i) — when the staircase hit could be
     // the candidate's own corner, a linear re-scan of the front settles it,
     // which stays cheap because only near-collapsed regions are ambiguous.
-    const std::vector<std::size_t> pess_front = front_of(alive, hi);
-    if (fast_fronts) {
+    const std::vector<std::size_t> pess_front = corner_front(alive, hi);
+    {
       std::vector<char> in_front(n, 0);
       for (std::size_t j : pess_front) in_front[j] = 1;
       std::vector<pareto::Point> front_pts;
@@ -493,21 +450,10 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
         }
         if (drop) status[i] = Status::kDropped;
       }
-    } else {
-      for (std::size_t i : alive) {
-        if (status[i] != Status::kUndecided) continue;
-        for (std::size_t j : pess_front) {
-          if (j == i) continue;
-          if (leq_with_slack(hi[j], lo[i], delta)) {
-            status[i] = Status::kDropped;
-            break;
-          }
-        }
-      }
     }
     prune_dropped();
-    const std::vector<std::size_t> opt_front = front_of(alive, lo);
-    if (fast_fronts) {
+    const std::vector<std::size_t> opt_front = corner_front(alive, lo);
+    {
       std::vector<char> in_front(n, 0);
       for (std::size_t j : opt_front) in_front[j] = 1;
       std::vector<pareto::Point> front_pts;
@@ -534,21 +480,6 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
               blocked = true;
               break;
             }
-          }
-        }
-        if (!blocked) status[i] = Status::kPareto;
-      }
-    } else {
-      for (std::size_t i : alive) {
-        if (status[i] != Status::kUndecided) continue;
-        bool blocked = false;
-        for (std::size_t j : opt_front) {
-          if (j == i) continue;
-          // x' could still delta-dominate x in the optimistic/pessimistic
-          // worst case -> x cannot be declared Pareto yet.
-          if (dominates_with_margin(lo[j], hi[i], delta)) {
-            blocked = true;
-            break;
           }
         }
         if (!blocked) status[i] = Status::kPareto;
@@ -645,7 +576,7 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
       mid[i][k] = 0.5 * (lo[i][k] + hi[i][k]);
     }
   }
-  const std::vector<std::size_t> mid_front = front_of(alive, mid);
+  const std::vector<std::size_t> mid_front = corner_front(alive, mid);
 
   TuningResult result;
   std::vector<bool> in_result(n, false);

@@ -15,8 +15,11 @@
 //     (Eq. (13)); batch mode evaluates the top-B diameters per round, which
 //     the paper supports via parallel tool licenses.
 //
-// The same loop with plain (non-transfer) GPs and no source data is the
-// TCAD'19 baseline, so the loop is parameterized on a SurrogateFactory.
+// The loop is parameterized on a SurrogateFactory: transfer GPs over source
+// data (PPATuner proper) or plain per-objective GPs (the no-transfer
+// ablation). The TCAD'19 baseline is not this loop — it runs its own
+// predicted-front active-learning loop to a fixed budget
+// (src/baselines/tcad19.cpp).
 #pragma once
 
 #include <cstdint>
@@ -85,19 +88,6 @@ struct PPATunerOptions {
   /// Pareto-front updates). Off by default: assembling the id list per
   /// round is O(N) extra work that pure-convergence observers don't need.
   bool report_front_ids = false;
-  // Perf ablation switches for the decision loop (bench_pal_scaling legacy
-  // configurations). Every combination produces bit-identical tuner output;
-  // the fast paths only change HOW the same values are computed.
-  /// Cross-round posterior cache: serve each candidate's prediction in
-  /// O(new observations) via rank-1 forward-substitution extension instead
-  /// of a fresh O(observations^2) solve (gp::PosteriorCache).
-  bool use_prediction_cache = true;
-  /// Sort-based sweeps for the corner fronts and both delta-dominance
-  /// passes: O(N log N) per round instead of the pairwise O(N^2).
-  bool use_fast_fronts = true;
-  /// Blocked predict_batch panels fanned across the thread pool (used by
-  /// the non-cached prediction paths; see GaussianProcess).
-  bool tiled_prediction = true;
   /// Optional per-round observer (convergence studies); called after each
   /// round's selection step.
   std::function<void(const PPATunerProgress&)> on_round;

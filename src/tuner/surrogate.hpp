@@ -76,8 +76,9 @@ class Surrogate {
     predict_batch(xs, means, variances);
   }
 
-  /// Toggles the tiled predict_batch fast path where the implementation has
-  /// one (perf ablation; served values are bit-identical either way).
+  /// Toggles the tiled predict_batch path where the implementation has one
+  /// (served values are bit-identical either way). Nothing in the library
+  /// calls it; Surrogate decorators outside src/ override it.
   virtual void set_tiled_prediction(bool /*enabled*/) {}
 
   virtual std::size_t num_target_points() const = 0;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "direct_kernel.hpp"
+
 namespace ppat::gp {
 namespace {
 
@@ -116,13 +118,13 @@ TEST(GaussianProcess, HyperparameterFitImprovesLikelihood) {
 }
 
 TEST(GaussianProcess, MixedKernelRefitCacheParityBitwise) {
-  // The mixed kernel now rides the pairwise-stats cache on the refit hot
-  // path; cache on vs off must produce bit-identical fitted
-  // hyper-parameters (same RNG seed, same subset, same winner scan).
-  auto make = [] {
-    return GaussianProcess(
-        std::make_unique<MixedSpaceKernel>(std::vector<std::uint8_t>{0, 1, 0}),
-        1e-4);
+  // The mixed kernel rides the pairwise-stats cache on the refit hot path;
+  // the same kernel behind a wrapper without the cache takes the direct-Gram
+  // path, and both must produce bit-identical fitted hyper-parameters (same
+  // RNG seed, same subset, same winner scan).
+  auto mixed = [] {
+    return std::make_unique<MixedSpaceKernel>(
+        std::vector<std::uint8_t>{0, 1, 0});
   };
   common::Rng data(17);
   std::vector<linalg::Vector> xs;
@@ -136,22 +138,20 @@ TEST(GaussianProcess, MixedKernelRefitCacheParityBitwise) {
     ys.push_back(std::sin(4.0 * x[0]) + (x[1] < 0.5 ? 0.3 : -0.3) +
                  0.2 * x[2]);
   }
-  FitOptions cached;
-  cached.use_distance_cache = true;
-  FitOptions direct;
-  direct.use_distance_cache = false;
-
-  auto a = make();
+  GaussianProcess a(mixed(), 1e-4);
+  ASSERT_TRUE(a.kernel().supports_pairwise_cache());
   a.fit(xs, ys);
   {
     common::Rng rng(9);
-    a.optimize_hyperparameters(rng, cached);
+    a.optimize_hyperparameters(rng);
   }
-  auto b = make();
+  GaussianProcess b(std::make_unique<testing::DirectGramKernel>(mixed()),
+                    1e-4);
+  ASSERT_FALSE(b.kernel().supports_pairwise_cache());
   b.fit(xs, ys);
   {
     common::Rng rng(9);
-    b.optimize_hyperparameters(rng, direct);
+    b.optimize_hyperparameters(rng);
   }
   const auto ha = a.kernel().hyperparameters();
   const auto hb = b.kernel().hyperparameters();

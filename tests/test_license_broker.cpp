@@ -189,11 +189,15 @@ TEST(LicenseBroker, TryAcquireGrantsRefusesAndYieldsToWaiters) {
   EXPECT_EQ(broker.available(), 0u);
 
   // Session 2 blocks in acquire(); once it is waiting, a freed license must
-  // go to it, not to a concurrently polling session 1.
+  // go to it, not to a concurrently polling session 1. The waiter holds its
+  // lease until the poll is done, so the poll cannot see a license the
+  // waiter already took and gave back.
   std::atomic<bool> waiter_got_lease{false};
+  std::atomic<bool> polled{false};
   std::thread waiter([&] {
     auto lease = broker.acquire(2);
     waiter_got_lease.store(true);
+    while (!polled.load()) std::this_thread::yield();
     lease.release();
   });
   while (broker.waiting_for(2) == 0) {
@@ -202,6 +206,7 @@ TEST(LicenseBroker, TryAcquireGrantsRefusesAndYieldsToWaiters) {
   a.release();  // one license free, but session 2 is queued for it
   auto d = broker.try_acquire(1);
   EXPECT_FALSE(d.valid());
+  polled.store(true);
   waiter.join();
   EXPECT_TRUE(waiter_got_lease.load());
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace ppat::common {
 namespace {
 
@@ -50,6 +54,32 @@ TEST(Log, OffSuppressesEverything) {
   // exercises the early-return path.
   log_line(LogLevel::kError, "should be suppressed");
   SUCCEED();
+}
+
+TEST(Log, ConcurrentLevelChangeIsRaceFree) {
+  // Threads log and read the threshold while another thread flips it (a
+  // data race here is what ThreadSanitizer flags). Both levels suppress the
+  // kInfo lines, so the test prints nothing.
+  LevelGuard guard;
+  set_log_level(LogLevel::kWarn);
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 4; ++t) {
+    loggers.emplace_back([&] {
+      while (!stop.load()) {
+        PPAT_INFO << "suppressed";
+        const LogLevel seen = log_level();
+        if (seen != LogLevel::kWarn && seen != LogLevel::kOff) ++bad_reads;
+      }
+    });
+  }
+  for (int i = 0; i < 20000; ++i) {
+    set_log_level(i % 2 == 0 ? LogLevel::kOff : LogLevel::kWarn);
+  }
+  stop.store(true);
+  for (auto& t : loggers) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
 }
 
 }  // namespace

@@ -17,6 +17,11 @@ struct SpaceCase {
   std::size_t expected_params;
 };
 
+// Without this gtest prints the raw bytes of the struct, function pointer and
+// string address included, so the listed test names (and the CTest names
+// derived from them) would change with every ASLR-randomised run.
+void PrintTo(const SpaceCase& c, std::ostream* os) { *os << c.name; }
+
 class PaperSpaces : public ::testing::TestWithParam<SpaceCase> {};
 
 TEST_P(PaperSpaces, ParameterCountMatchesTable1) {

@@ -1,11 +1,14 @@
-// End-to-end bit-parity of the tuner's perf ablation switches: every
-// combination of {posterior cache, sweep fronts, tiled prediction} must
-// produce the SAME TuningResult (identical pareto indices, run counts,
-// diagnostics) as the all-off legacy path — across batch sizes, objective
-// counts, surrogate families, and refit cadences. This is the acceptance
-// gate that lets the fast paths ship default-on.
+// End-to-end bit-identity of the tuner's decision loop (cross-round
+// posterior cache, sweep-based fronts and delta passes, tiled prediction)
+// against golden fingerprints. The constants below were recorded while the
+// pairwise / uncached legacy loop still existed beside these paths, and both
+// produced exactly these values — so matching them pins the loop to the
+// reference semantics across batch sizes, objective counts, surrogate
+// families, and refit cadences.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "synthetic_benchmark.hpp"
@@ -14,16 +17,36 @@
 namespace ppat::tuner {
 namespace {
 
-struct Flags {
-  bool cache;
-  bool fronts;
-  bool tiled;
+/// Expected run summary. The Pareto index list is pinned by its length and
+/// an FNV-1a digest over the indices in result order.
+struct Golden {
+  std::size_t pareto_count;
+  std::uint64_t pareto_digest;
+  std::size_t tool_runs;
+  std::size_t failed_runs;
+  std::size_t rounds;
+  std::size_t dropped;
+  std::size_t classified_pareto;
+  std::size_t undecided;
+  std::vector<std::uint64_t> task_correlation_bits;
 };
 
-struct Observed {
-  TuningResult result;
-  PPATunerDiagnostics diag;
-};
+std::uint64_t digest(const std::vector<std::size_t>& indices) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t v : indices) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
 
 class FastPathParityTest : public ::testing::Test {
  protected:
@@ -47,79 +70,67 @@ class FastPathParityTest : public ::testing::Test {
     return opt;
   }
 
-  Observed run(const std::vector<std::size_t>& objectives,
-               const SurrogateFactory& factory, PPATunerOptions opt,
-               Flags flags) {
-    opt.use_prediction_cache = flags.cache;
-    opt.use_fast_fronts = flags.fronts;
-    opt.tiled_prediction = flags.tiled;
+  void expect_golden(const std::vector<std::size_t>& objectives,
+                     const SurrogateFactory& factory,
+                     const PPATunerOptions& opt, const Golden& want) {
     BenchmarkCandidatePool pool(&target_, objectives);
-    Observed out;
-    out.result = run_ppatuner(pool, factory, opt, &out.diag);
-    return out;
-  }
-
-  static void expect_identical(const Observed& fast, const Observed& legacy) {
-    EXPECT_EQ(fast.result.pareto_indices, legacy.result.pareto_indices);
-    EXPECT_EQ(fast.result.tool_runs, legacy.result.tool_runs);
-    EXPECT_EQ(fast.result.failed_runs, legacy.result.failed_runs);
-    EXPECT_EQ(fast.diag.rounds, legacy.diag.rounds);
-    EXPECT_EQ(fast.diag.dropped, legacy.diag.dropped);
-    EXPECT_EQ(fast.diag.classified_pareto, legacy.diag.classified_pareto);
-    EXPECT_EQ(fast.diag.undecided, legacy.diag.undecided);
-    ASSERT_EQ(fast.diag.task_correlations.size(),
-              legacy.diag.task_correlations.size());
-    for (std::size_t k = 0; k < fast.diag.task_correlations.size(); ++k) {
-      EXPECT_EQ(fast.diag.task_correlations[k],
-                legacy.diag.task_correlations[k]);
+    PPATunerDiagnostics diag;
+    const TuningResult result = run_ppatuner(pool, factory, opt, &diag);
+    EXPECT_EQ(result.pareto_indices.size(), want.pareto_count);
+    EXPECT_EQ(digest(result.pareto_indices), want.pareto_digest);
+    EXPECT_EQ(result.tool_runs, want.tool_runs);
+    EXPECT_EQ(result.failed_runs, want.failed_runs);
+    EXPECT_EQ(diag.rounds, want.rounds);
+    EXPECT_EQ(diag.dropped, want.dropped);
+    EXPECT_EQ(diag.classified_pareto, want.classified_pareto);
+    EXPECT_EQ(diag.undecided, want.undecided);
+    ASSERT_EQ(diag.task_correlations.size(), want.task_correlation_bits.size());
+    for (std::size_t k = 0; k < diag.task_correlations.size(); ++k) {
+      EXPECT_EQ(bits_of(diag.task_correlations[k]),
+                want.task_correlation_bits[k])
+          << "objective " << k << ": " << diag.task_correlations[k];
     }
   }
 
   flow::BenchmarkSet source_, target_;
 };
 
-constexpr Flags kAllOn{true, true, true};
-constexpr Flags kAllOff{false, false, false};
-
 TEST_F(FastPathParityTest, TransferThreeObjectivesAcrossBatchSizes) {
   const auto factory = make_transfer_gp_factory(source_data(kAreaPowerDelay));
-  for (std::size_t batch : {1u, 4u, 16u}) {
-    const auto opt = base_options(batch);
-    const auto fast = run(kAreaPowerDelay, factory, opt, kAllOn);
-    const auto legacy = run(kAreaPowerDelay, factory, opt, kAllOff);
-    SCOPED_TRACE(::testing::Message() << "batch=" << batch);
-    expect_identical(fast, legacy);
-    EXPECT_FALSE(fast.result.pareto_indices.empty());
+  const struct {
+    std::size_t batch;
+    Golden want;
+  } cases[] = {
+      {1,
+       {277, 0x1ee66991a4584662ULL, 30, 0, 16, 129, 271, 0,
+        {0x3fef76a539153612ULL, 0x3fec318a5ffb20aeULL,
+         0x3fefdce8c8df02b4ULL}}},
+      {4,
+       {271, 0x5c8e01420c985116ULL, 39, 0, 7, 136, 264, 0,
+        {0x3fefc03d84cb57e8ULL, 0x3fedbe5e4ee42bc0ULL,
+         0x3feffbb3a4522dd4ULL}}},
+      {16,
+       {273, 0xcb045812b451ab54ULL, 60, 0, 3, 89, 211, 100,
+        {0x3fee94e9f8a5c3baULL, 0x3feab4f62ad9a54cULL,
+         0x3fe9ddc6ee6eadcaULL}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "batch=" << c.batch);
+    expect_golden(kAreaPowerDelay, factory, base_options(c.batch), c.want);
   }
 }
 
 TEST_F(FastPathParityTest, TransferTwoObjectives) {
   // 2-objective fronts take the running-min sweep instead of the staircase.
   const auto factory = make_transfer_gp_factory(source_data(kAreaDelay));
-  const auto opt = base_options(4);
-  expect_identical(run(kAreaDelay, factory, opt, kAllOn),
-                   run(kAreaDelay, factory, opt, kAllOff));
+  expect_golden(kAreaDelay, factory, base_options(4),
+                {1, 0x5d22b4fa7ad07b4dULL, 19, 0, 2, 399, 1, 0,
+                 {0x3fee94e9f8a5c3baULL, 0x3fe9ddc6ee6eadcaULL}});
 }
 
 TEST_F(FastPathParityTest, PlainGpSurrogates) {
-  const auto factory = make_plain_gp_factory();
-  const auto opt = base_options(4);
-  expect_identical(run(kPowerDelay, factory, opt, kAllOn),
-                   run(kPowerDelay, factory, opt, kAllOff));
-}
-
-TEST_F(FastPathParityTest, EachFlagIndependently) {
-  // Each switch alone must already be bit-neutral, not just the ensemble.
-  const auto factory = make_transfer_gp_factory(source_data(kAreaPowerDelay));
-  const auto opt = base_options(4);
-  const auto legacy = run(kAreaPowerDelay, factory, opt, kAllOff);
-  const Flags singles[] = {
-      {true, false, false}, {false, true, false}, {false, false, true}};
-  for (const Flags& f : singles) {
-    SCOPED_TRACE(::testing::Message() << "cache=" << f.cache << " fronts="
-                                      << f.fronts << " tiled=" << f.tiled);
-    expect_identical(run(kAreaPowerDelay, factory, opt, f), legacy);
-  }
+  expect_golden(kPowerDelay, make_plain_gp_factory(), base_options(4),
+                {19, 0xf8a73b1618cf96a1ULL, 35, 0, 6, 381, 19, 0, {}});
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "direct_kernel.hpp"
+
 namespace ppat::gp {
 namespace {
 
@@ -169,11 +171,11 @@ TEST(TransferGp, JointLikelihoodFiniteAndImproves) {
 
 TEST(TransferGp, MixedKernelJointRefitCacheParityBitwise) {
   // Joint-likelihood refit with the mixed kernel through the pairwise-stats
-  // cache vs the direct path: fitted hyper-parameters and the task
-  // correlation must be bit-identical (same RNG, same subsets).
-  auto make = [] {
-    return TransferGaussianProcess(std::make_unique<MixedSpaceKernel>(
-        std::vector<std::uint8_t>{0, 1}));
+  // cache vs the same kernel behind a cache-less wrapper (direct path):
+  // fitted hyper-parameters and the task correlation must be bit-identical
+  // (same RNG, same subsets).
+  auto mixed = [] {
+    return std::make_unique<MixedSpaceKernel>(std::vector<std::uint8_t>{0, 1});
   };
   common::Rng data(31);
   std::vector<linalg::Vector> sxs, txs;
@@ -191,22 +193,20 @@ TEST(TransferGp, MixedKernelJointRefitCacheParityBitwise) {
       tys.push_back(y + 0.1 * x[0]);
     }
   }
-  TransferFitOptions cached;
-  cached.use_distance_cache = true;
-  TransferFitOptions direct;
-  direct.use_distance_cache = false;
-
-  auto a = make();
+  TransferGaussianProcess a(mixed());
+  ASSERT_TRUE(a.kernel().supports_pairwise_cache());
   a.fit(sxs, sys, txs, tys);
   {
     common::Rng rng(7);
-    a.optimize_hyperparameters(rng, cached);
+    a.optimize_hyperparameters(rng);
   }
-  auto b = make();
+  TransferGaussianProcess b(
+      std::make_unique<testing::DirectGramKernel>(mixed()));
+  ASSERT_FALSE(b.kernel().supports_pairwise_cache());
   b.fit(sxs, sys, txs, tys);
   {
     common::Rng rng(7);
-    b.optimize_hyperparameters(rng, direct);
+    b.optimize_hyperparameters(rng);
   }
   const auto ha = a.kernel().hyperparameters();
   const auto hb = b.kernel().hyperparameters();
