@@ -28,8 +28,9 @@
 // THREAD's current pool — the global singleton by default, or a per-session
 // pool installed with ScopedPool. A long-running server hosts one pool per
 // tuning session and brackets each session's work in a ScopedPool on the
-// session thread, so sessions never contend on (or resize) the global pool;
-// single-run drivers keep the singleton and are bitwise unchanged.
+// session thread, so sessions never contend on (or resize) the global pool.
+// tuner::run_ppatuner always runs under a ScopedPool (the caller's pool or
+// one it owns), so no library call resizes the singleton.
 #pragma once
 
 #include <cstddef>

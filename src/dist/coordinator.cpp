@@ -25,32 +25,6 @@ namespace wire = server::wire;
 
 namespace {
 
-constexpr std::size_t kMedianWindow = 64;
-
-journal::RevealStatus to_ledger_status(flow::RunStatus s) {
-  switch (s) {
-    case flow::RunStatus::kOk:
-      return journal::RevealStatus::kOk;
-    case flow::RunStatus::kTimedOut:
-      return journal::RevealStatus::kTimedOut;
-    case flow::RunStatus::kFailed:
-      break;
-  }
-  return journal::RevealStatus::kFailed;
-}
-
-flow::RunStatus from_ledger_status(journal::RevealStatus s) {
-  switch (s) {
-    case journal::RevealStatus::kOk:
-      return flow::RunStatus::kOk;
-    case journal::RevealStatus::kTimedOut:
-      return flow::RunStatus::kTimedOut;
-    case journal::RevealStatus::kFailed:
-      break;
-  }
-  return flow::RunStatus::kFailed;
-}
-
 void set_recv_timeout(int fd, std::chrono::milliseconds timeout) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
@@ -74,13 +48,13 @@ void send_error(int fd, const std::string& message) {
 struct DistributedEvalService::BatchState {
   const std::vector<flow::Config>* configs = nullptr;
   const RunObserver* observer = nullptr;
+  /// Open records carry the attempts consumed so far; the lifecycle
+  /// closes each one exactly once.
   std::vector<flow::RunRecord> records;
   std::vector<std::uint64_t> digests;
-  /// Attempts consumed per configuration so far.
-  std::vector<std::size_t> attempts;
-  /// First-dispatch time per configuration (elapsed_ms baseline).
+  /// First-dispatch time per configuration, batch submission until then
+  /// (elapsed_ms baseline).
   std::vector<clock::time_point> run_t0;
-  std::vector<bool> dispatched_once;
   std::vector<bool> done;
   /// Indices awaiting dispatch, FIFO; retries requeue at the FRONT so a
   /// recovering configuration does not go to the back of the line.
@@ -96,12 +70,13 @@ struct DistributedEvalService::BatchState {
 
 DistributedEvalService::DistributedEvalService(flow::ParameterSpace space,
                                                DistributedOptions options)
-    : space_(std::move(space)), options_(std::move(options)) {
+    : space_(std::move(space)),
+      options_(std::move(options)),
+      lifecycle_(options_) {
   if (options_.socket_path.empty()) {
     throw std::invalid_argument(
         "DistributedEvalService: socket_path is required");
   }
-  if (options_.max_attempts == 0) options_.max_attempts = 1;
   if (options_.poll_interval.count() <= 0) {
     options_.poll_interval = std::chrono::milliseconds(20);
   }
@@ -257,42 +232,24 @@ void DistributedEvalService::accept_pending(BatchState* batch) {
   }
 }
 
-void DistributedEvalService::record_success_duration(double ms) {
-  if (recent_ok_ms_.size() < kMedianWindow) {
-    recent_ok_ms_.push_back(ms);
-  } else {
-    recent_ok_ms_[recent_pos_] = ms;
-    recent_pos_ = (recent_pos_ + 1) % kMedianWindow;
-  }
+DistributedStats DistributedEvalService::stats() const {
+  DistributedStats stats = stats_;
+  static_cast<flow::EvalServiceStats&>(stats) = lifecycle_.stats();
+  return stats;
 }
 
-double DistributedEvalService::watchdog_threshold_ms() const {
-  if (options_.watchdog_multiple <= 0.0 ||
-      recent_ok_ms_.size() < options_.watchdog_min_samples) {
-    return 0.0;
-  }
-  std::vector<double> window = recent_ok_ms_;
-  const std::size_t mid = window.size() / 2;
-  std::nth_element(window.begin(), window.begin() + mid, window.end());
-  return std::max(static_cast<double>(options_.watchdog_floor.count()),
-                  options_.watchdog_multiple * window[mid]);
-}
-
-void DistributedEvalService::finalize(BatchState& batch, std::size_t idx,
-                                      flow::RunRecord record) {
-  const auto base =
-      batch.dispatched_once[idx] ? batch.run_t0[idx] : batch.batch_t0;
-  record.elapsed_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - base).count();
-  batch.records[idx] = std::move(record);
+void DistributedEvalService::finalize(BatchState& batch, std::size_t idx) {
+  flow::RunRecord& rec = batch.records[idx];
+  rec.elapsed_ms = std::chrono::duration<double, std::milli>(
+                       clock::now() - batch.run_t0[idx])
+                       .count();
   batch.done[idx] = true;
   --batch.remaining;
   if (ledger_ != nullptr) {
-    const flow::RunRecord& rec = batch.records[idx];
     journal::LedgerRecord lrec;
     lrec.digest = batch.digests[idx];
     lrec.attempt = static_cast<std::uint32_t>(rec.attempts);
-    lrec.status = to_ledger_status(rec.status);
+    lrec.status = rec.status;
     lrec.attempts = static_cast<std::uint32_t>(rec.attempts);
     lrec.elapsed_ms = rec.elapsed_ms;
     if (rec.ok()) {
@@ -305,21 +262,32 @@ void DistributedEvalService::finalize(BatchState& batch, std::size_t idx,
     ledger_->append(lrec);
   }
   if (batch.observer != nullptr && *batch.observer) {
-    (*batch.observer)(idx, batch.records[idx]);
+    (*batch.observer)(idx, rec);
   }
 }
 
-void DistributedEvalService::schedule_retry(BatchState& batch,
-                                            std::size_t idx) {
-  ++stats_.retries;
-  auto ready = clock::now();
-  if (options_.retry_backoff.count() > 0) {
-    // Same schedule as EvalService: backoff * 2^(retry-1), with the retry
-    // number equal to the attempts already consumed.
-    ready += options_.retry_backoff
-             * (std::int64_t{1} << (batch.attempts[idx] - 1));
+void DistributedEvalService::fail_attempt(BatchState& batch, std::size_t idx,
+                                          std::string error) {
+  flow::RunRecord& rec = batch.records[idx];
+  if (lifecycle_.fail_attempt(rec, std::move(error))) {
+    // dispatch_ready re-queues it at the front once the backoff expires.
+    batch.delayed.push_back(
+        {clock::now() + lifecycle_.backoff(rec.attempts), idx});
+  } else {
+    finalize(batch, idx);
   }
-  batch.delayed.push_back({ready, idx});
+}
+
+void DistributedEvalService::close_queued(
+    BatchState& batch, const std::function<void(flow::RunRecord&)>& close) {
+  auto close_one = [&](std::size_t idx) {
+    close(batch.records[idx]);
+    finalize(batch, idx);
+  };
+  for (std::size_t idx : batch.pending) close_one(idx);
+  for (const auto& d : batch.delayed) close_one(d.index);
+  batch.pending.clear();
+  batch.delayed.clear();
 }
 
 void DistributedEvalService::dispatch_ready(BatchState& batch) {
@@ -335,25 +303,10 @@ void DistributedEvalService::dispatch_ready(BatchState& batch) {
     }
   }
 
-  // Deadline: measured from batch submission, queueing time included.
-  const bool has_deadline = options_.run_deadline.count() > 0;
-  if (has_deadline && now - batch.batch_t0 > options_.run_deadline) {
-    auto expire = [&](std::size_t idx) {
-      flow::RunRecord rec;
-      rec.status = flow::RunStatus::kTimedOut;
-      rec.attempts = batch.attempts[idx];
-      rec.error = rec.attempts == 0 ? "deadline expired while queued"
-                                    : "run exceeded deadline";
-      ++stats_.runs_timed_out;
-      finalize(batch, idx, std::move(rec));
-    };
-    while (!batch.pending.empty()) {
-      const std::size_t idx = batch.pending.front();
-      batch.pending.pop_front();
-      expire(idx);
-    }
-    for (const auto& d : batch.delayed) expire(d.index);
-    batch.delayed.clear();
+  // Deadline at dispatch: every queued run, retries still backing off
+  // included, is past it.
+  if (lifecycle_.past_deadline(batch.batch_t0, now)) {
+    close_queued(batch, [&](flow::RunRecord& rec) { lifecycle_.expire(rec); });
     return;
   }
 
@@ -375,16 +328,12 @@ void DistributedEvalService::dispatch_ready(BatchState& batch) {
 
     const std::size_t idx = batch.pending.front();
     batch.pending.pop_front();
-    ++batch.attempts[idx];
-    ++stats_.attempts;
-    if (!batch.dispatched_once[idx]) {
-      batch.dispatched_once[idx] = true;
-      batch.run_t0[idx] = clock::now();
-    }
+    std::size_t& attempts = batch.records[idx].attempts;
+    if (++attempts == 1) batch.run_t0[idx] = clock::now();
     const flow::Config& config = (*batch.configs)[idx];
     wire::Writer req;
     req.u64(idx);
-    req.u32(static_cast<std::uint32_t>(batch.attempts[idx]));
+    req.u32(static_cast<std::uint32_t>(attempts));
     req.u64(config.size());
     for (double v : config) req.f64(v);
     try {
@@ -392,8 +341,7 @@ void DistributedEvalService::dispatch_ready(BatchState& batch) {
     } catch (const wire::WireError&) {
       // The worker vanished between polls; this dispatch never reached a
       // tool, so it does not count as an attempt.
-      --batch.attempts[idx];
-      --stats_.attempts;
+      --attempts;
       batch.pending.push_front(idx);
       const auto widx = static_cast<std::size_t>(idle - workers_.data());
       drop_worker(widx, &batch, "write failed");
@@ -416,19 +364,8 @@ void DistributedEvalService::drop_worker(std::size_t widx, BatchState* batch,
   PPAT_WARN << "coordinator: worker lost (" << why << "), "
             << workers_.size() << " remaining";
   if (dead.busy && batch != nullptr && !batch->done[dead.job_index]) {
-    const std::size_t idx = dead.job_index;
-    if (batch->attempts[idx] < options_.max_attempts) {
-      // The death consumed an attempt; re-queue at the front so the
-      // recovering run is next in line (after any backoff).
-      schedule_retry(*batch, idx);
-    } else {
-      flow::RunRecord rec;
-      rec.status = flow::RunStatus::kFailed;
-      rec.attempts = batch->attempts[idx];
-      rec.error = "worker died during evaluation";
-      ++stats_.runs_failed;
-      finalize(*batch, idx, std::move(rec));
-    }
+    // The death consumed an attempt, like a failed result.
+    fail_attempt(*batch, dead.job_index, "worker died during evaluation");
   }
   // The fleet was alive until this very disconnect, so the no-worker grace
   // period (if this was the last worker) starts NOW, not at the previous
@@ -473,7 +410,7 @@ void DistributedEvalService::handle_worker_frame(std::size_t widx,
     const std::uint32_t attempt = r.u32();
     const bool ok = r.u8() != 0;
     if (batch == nullptr || !w.busy || job_id != w.job_index ||
-        attempt != batch->attempts[w.job_index]) {
+        attempt != batch->records[w.job_index].attempts) {
       drop_worker(widx, batch, "result for a job it does not hold");
       return;
     }
@@ -490,45 +427,19 @@ void DistributedEvalService::handle_worker_frame(std::size_t widx,
       qor.area_um2 = r.f64();
       qor.power_mw = r.f64();
       qor.delay_ns = r.f64();
-      // Post-hoc deadline classification, as in EvalService: a result
-      // arriving past the deadline is discarded, never retried.
-      if (options_.run_deadline.count() > 0 &&
-          now - batch->batch_t0 > options_.run_deadline) {
-        flow::RunRecord rec;
-        rec.status = flow::RunStatus::kTimedOut;
-        rec.attempts = batch->attempts[idx];
-        rec.error = "run exceeded deadline";
-        ++stats_.runs_timed_out;
-        finalize(*batch, idx, std::move(rec));
-        return;
-      }
-      record_success_duration(run_ms);
-      flow::RunRecord rec;
-      rec.status = flow::RunStatus::kOk;
-      rec.qor = qor;
-      rec.attempts = batch->attempts[idx];
-      ++stats_.runs_ok;
-      finalize(*batch, idx, std::move(rec));
+      lifecycle_.succeed(batch->records[idx], qor, run_ms, batch->batch_t0,
+                         now);
+      finalize(*batch, idx);
       return;
     }
-    const std::string error = r.str();
-    if (batch->attempts[idx] < options_.max_attempts) {
-      schedule_retry(*batch, idx);
-    } else {
-      flow::RunRecord rec;
-      rec.status = flow::RunStatus::kFailed;
-      rec.attempts = batch->attempts[idx];
-      rec.error = error;
-      ++stats_.runs_failed;
-      finalize(*batch, idx, std::move(rec));
-    }
+    fail_attempt(*batch, idx, r.str());
   } catch (const wire::WireError&) {
     drop_worker(widx, batch, "malformed frame");
   }
 }
 
 void DistributedEvalService::watchdog_sweep(BatchState& batch) {
-  const double threshold_ms = watchdog_threshold_ms();
+  const double threshold_ms = lifecycle_.watchdog_threshold_ms();
   if (threshold_ms <= 0.0) return;
   const auto now = clock::now();
   for (std::size_t i = 0; i < workers_.size();) {
@@ -546,15 +457,8 @@ void DistributedEvalService::watchdog_sweep(BatchState& batch) {
               << elapsed_ms << " ms (threshold " << threshold_ms << " ms)";
     // Mark terminal FIRST: watchdog cancellation is permanent (the run is
     // known-hung), so the disconnect below must not schedule a retry.
-    flow::RunRecord rec;
-    rec.status = flow::RunStatus::kTimedOut;
-    rec.attempts = batch.attempts[idx];
-    rec.error =
-        "cancelled by watchdog (exceeded hard multiple of rolling median "
-        "run time)";
-    ++stats_.runs_timed_out;
-    ++stats_.runs_watchdog_cancelled;
-    finalize(batch, idx, std::move(rec));
+    lifecycle_.cancel_hung(batch.records[idx]);
+    finalize(batch, idx);
     // Disconnecting is the distributed cancel: the worker notices the dead
     // socket when it tries to reply and exits on its own.
     drop_worker(i, &batch, "watchdog cancel");
@@ -602,11 +506,9 @@ std::vector<flow::RunRecord> DistributedEvalService::evaluate_batch(
   batch.observer = &observer;
   batch.records.resize(n);
   batch.digests.resize(n);
-  batch.attempts.assign(n, 0);
-  batch.run_t0.assign(n, clock::time_point{});
-  batch.dispatched_once.assign(n, false);
   batch.done.assign(n, false);
   batch.batch_t0 = clock::now();
+  batch.run_t0.assign(n, batch.batch_t0);
   batch.remaining = n;
   if (n == 0) return batch.records;
 
@@ -622,7 +524,7 @@ std::vector<flow::RunRecord> DistributedEvalService::evaluate_batch(
       continue;
     }
     flow::RunRecord rec;
-    rec.status = from_ledger_status(lrec->status);
+    rec.status = lrec->status;
     rec.attempts = lrec->attempts;
     rec.elapsed_ms = lrec->elapsed_ms;
     if (rec.ok() && lrec->values.size() == 3) {
@@ -650,25 +552,13 @@ std::vector<flow::RunRecord> DistributedEvalService::evaluate_batch(
     // spin forever. In-flight work cannot exist here — no workers.
     if (workers_.empty() &&
         clock::now() - last_worker_seen_ > options_.no_worker_grace) {
-      auto fail_queued = [&](std::size_t idx) {
-        flow::RunRecord rec;
-        rec.status = flow::RunStatus::kFailed;
-        rec.attempts = batch.attempts[idx];
-        rec.error = "no workers available";
-        ++stats_.runs_failed;
-        finalize(batch, idx, std::move(rec));
-      };
-      while (!batch.pending.empty()) {
-        const std::size_t idx = batch.pending.front();
-        batch.pending.pop_front();
-        fail_queued(idx);
-      }
-      for (const auto& d : batch.delayed) fail_queued(d.index);
-      batch.delayed.clear();
+      close_queued(batch, [&](flow::RunRecord& rec) {
+        lifecycle_.fail(rec, "no workers available");
+      });
     }
   }
 
-  ++stats_.batches;
+  lifecycle_.count_batch();
   if (ledger_ != nullptr) ledger_->sync();
   return std::move(batch.records);
 }

@@ -4,8 +4,9 @@
 // same batch-evaluation contract (flow::BatchEvaluator — records land at
 // their batch index, run failure is a first-class outcome, never throws for
 // one), but the tool runs execute in WORKER PROCESSES connected over a Unix
-// socket instead of in-process threads. Semantics deliberately mirror
-// EvalService so the two are interchangeable under tuner::LiveCandidatePool:
+// socket instead of in-process threads. Both call the same
+// flow::RunLifecycle for every retry, deadline, watchdog and stats decision,
+// so the two are interchangeable under tuner::LiveCandidatePool:
 //
 //   * work-stealing dispatch: idle workers pull the next pending
 //     configuration off a shared queue, so a slow run never blocks the
@@ -14,10 +15,10 @@
 //     non-blocking try_acquire, because the coordinator frees its own
 //     leases by processing worker results and must never sleep on the
 //     broker;
-//   * bounded retry with the same exponential backoff schedule, deadlines
-//     measured from batch submission (attempts == 0 marks "expired while
-//     queued"), and a rolling-median watchdog that marks hung runs as
-//     PERMANENT kTimedOut;
+//   * bounded retry with exponential backoff, deadlines measured from batch
+//     submission (attempts == 0 marks "expired while queued"), and a
+//     rolling-median watchdog that marks hung runs as PERMANENT kTimedOut
+//     (the coordinator's cancel is disconnecting the worker);
 //   * worker death is absorbed: the in-flight configuration is re-queued
 //     (one retry), the dead connection is reaped, and the batch completes
 //     on the surviving workers.
@@ -39,13 +40,14 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <sys/types.h>
 #include <vector>
 
 #include "flow/eval_service.hpp"
-#include "flow/license_broker.hpp"
+#include "flow/run_lifecycle.hpp"
 
 namespace ppat::journal {
 class RevealLedger;
@@ -53,35 +55,15 @@ class RevealLedger;
 
 namespace ppat::dist {
 
-struct DistributedOptions {
+/// The run policy shared with flow::EvalService (a worker death costs an
+/// attempt like a failed result; a lease is held until the result or the
+/// worker's death comes back), plus the fleet's transport settings.
+struct DistributedOptions : flow::RunPolicy {
   /// Unix socket the coordinator binds and workers dial. Required.
   std::string socket_path;
-  /// Total attempts per configuration (1 = no retry). Worker deaths and
-  /// failed results both consume attempts.
-  std::size_t max_attempts = 3;
-  /// Backoff before retry r (1-based): retry_backoff * 2^(r-1). Zero
-  /// disables waiting.
-  std::chrono::milliseconds retry_backoff{0};
-  /// Wall-clock deadline per configuration from BATCH SUBMISSION; zero
-  /// disables. Same classification rules as EvalServiceOptions.
-  std::chrono::milliseconds run_deadline{0};
-
-  /// Hung-run watchdog (same rule as EvalService): disconnect any worker
-  /// whose in-flight run exceeds watchdog_multiple * rolling median of
-  /// successful run durations, recording a permanent kTimedOut. 0 disables.
-  double watchdog_multiple = 0.0;
-  std::chrono::milliseconds watchdog_floor{1000};
-  std::size_t watchdog_min_samples = 5;
 
   /// Poll-loop tick: bounds dispatch/retry/watchdog latency.
   std::chrono::milliseconds poll_interval{20};
-
-  /// Shared license pool; every dispatched attempt holds one lease until
-  /// its result (or the worker's death) comes back. Null = worker count is
-  /// the only concurrency bound.
-  std::shared_ptr<flow::LicenseBroker> license_broker;
-  /// This coordinator's identity in the broker's fair scheduling.
-  std::uint64_t session_tag = 0;
 
   /// Epoch stamped into every handshake and heartbeat. Workers from a
   /// different incarnation are rejected at hello and disconnected on a
@@ -101,15 +83,10 @@ struct DistributedOptions {
   std::chrono::milliseconds handshake_timeout{5000};
 };
 
-struct DistributedStats {
-  std::size_t batches = 0;
-  std::size_t runs_ok = 0;
-  std::size_t runs_failed = 0;
-  std::size_t runs_timed_out = 0;
-  std::size_t runs_watchdog_cancelled = 0;
-  std::size_t attempts = 0;
-  std::size_t retries = 0;
-  /// Outcomes served straight from the reveal ledger (no dispatch).
+/// The shared run counters plus the fleet's own.
+struct DistributedStats : flow::EvalServiceStats {
+  /// Outcomes served straight from the reveal ledger (no dispatch; not
+  /// counted in the run counters above).
   std::size_t reveals_replayed = 0;
   std::size_t workers_connected = 0;
   std::size_t workers_rejected = 0;
@@ -156,10 +133,10 @@ class DistributedEvalService final : public flow::BatchEvaluator {
   /// stays listed even after the child exits until the destructor reaps).
   const std::vector<pid_t>& spawned_pids() const { return spawned_; }
 
-  DistributedStats stats() const { return stats_; }
+  DistributedStats stats() const;
 
  private:
-  using clock = std::chrono::steady_clock;
+  using clock = flow::RunLifecycle::clock;
 
   struct Worker {
     int fd = -1;
@@ -181,10 +158,15 @@ class DistributedEvalService final : public flow::BatchEvaluator {
                    const char* why);
   void dispatch_ready(BatchState& batch);
   void watchdog_sweep(BatchState& batch);
-  void finalize(BatchState& batch, std::size_t idx, flow::RunRecord record);
-  void schedule_retry(BatchState& batch, std::size_t idx);
-  void record_success_duration(double ms);
-  double watchdog_threshold_ms() const;
+  /// Publishes the closed record at `idx`: ledger first, then observer.
+  void finalize(BatchState& batch, std::size_t idx);
+  /// A failed attempt at `idx`: queues the retry after its backoff, or
+  /// finalizes the run when no attempt remains.
+  void fail_attempt(BatchState& batch, std::size_t idx, std::string error);
+  /// Closes every queued (pending or backing-off) run with `close` and
+  /// finalizes it.
+  void close_queued(BatchState& batch,
+                    const std::function<void(flow::RunRecord&)>& close);
 
   flow::ParameterSpace space_;
   DistributedOptions options_;
@@ -193,9 +175,8 @@ class DistributedEvalService final : public flow::BatchEvaluator {
   std::vector<pid_t> spawned_;
   std::unique_ptr<journal::RevealLedger> ledger_;
   clock::time_point last_worker_seen_;
-  /// Rolling window of successful run durations (ms) for the watchdog.
-  std::vector<double> recent_ok_ms_;
-  std::size_t recent_pos_ = 0;
+  flow::RunLifecycle lifecycle_;
+  /// Fleet counters only; the run counters live in lifecycle_.
   DistributedStats stats_;
 };
 

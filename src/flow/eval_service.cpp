@@ -1,37 +1,21 @@
 #include "flow/eval_service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 
 namespace ppat::flow {
-namespace {
-
-/// Rolling-median window; large enough to smooth flaky runs, small enough
-/// to track a drifting tool version.
-constexpr std::size_t kMedianWindow = 64;
-
-}  // namespace
-
-const char* run_status_name(RunStatus status) {
-  switch (status) {
-    case RunStatus::kOk:
-      return "ok";
-    case RunStatus::kFailed:
-      return "failed";
-    case RunStatus::kTimedOut:
-      return "timed_out";
-  }
-  return "unknown";
-}
 
 EvalService::EvalService(QorOracle& oracle, ParameterSpace space,
                          EvalServiceOptions options)
-    : oracle_(oracle), space_(std::move(space)), options_(options) {
+    : oracle_(oracle),
+      space_(std::move(space)),
+      options_(std::move(options)),
+      lifecycle_(options_) {
   if (options_.licenses == 0) options_.licenses = 1;
-  if (options_.max_attempts == 0) options_.max_attempts = 1;
   if (options_.licenses > 1) {
     pool_ = std::make_unique<common::ThreadPool>(options_.licenses);
   }
@@ -55,29 +39,13 @@ EvalService::~EvalService() {
   }
 }
 
-void EvalService::record_success_duration(double ms) {
-  std::lock_guard lock(watchdog_mutex_);
-  if (recent_ok_ms_.size() < kMedianWindow) {
-    recent_ok_ms_.push_back(ms);
-  } else {
-    recent_ok_ms_[recent_pos_] = ms;
-    recent_pos_ = (recent_pos_ + 1) % kMedianWindow;
-  }
-}
-
 void EvalService::watchdog_loop() {
   std::unique_lock lock(watchdog_mutex_);
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(lock, options_.watchdog_poll);
     if (watchdog_stop_) break;
-    if (recent_ok_ms_.size() < options_.watchdog_min_samples) continue;
-    std::vector<double> window = recent_ok_ms_;
-    const std::size_t mid = window.size() / 2;
-    std::nth_element(window.begin(), window.begin() + mid, window.end());
-    const double median_ms = window[mid];
-    const double threshold_ms =
-        std::max(static_cast<double>(options_.watchdog_floor.count()),
-                 options_.watchdog_multiple * median_ms);
+    const double threshold_ms = lifecycle_.watchdog_threshold_ms();
+    if (threshold_ms <= 0.0) continue;
     const auto now = clock::now();
     for (auto& [id, flight] : in_flight_) {
       const double elapsed_ms =
@@ -85,9 +53,7 @@ void EvalService::watchdog_loop() {
               .count();
       if (elapsed_ms > threshold_ms && !flight.token->cancelled()) {
         PPAT_WARN << "watchdog: cancelling hung run after " << elapsed_ms
-                  << " ms (threshold " << threshold_ms << " ms = "
-                  << options_.watchdog_multiple << " x median " << median_ms
-                  << " ms)";
+                  << " ms (threshold " << threshold_ms << " ms)";
         flight.token->request_cancel();
       }
     }
@@ -97,24 +63,14 @@ void EvalService::watchdog_loop() {
 RunRecord EvalService::run_one(const Config& config,
                                clock::time_point batch_t0) {
   RunRecord rec;
-  const bool has_deadline = options_.run_deadline.count() > 0;
   const auto run_t0 = clock::now();
-  for (std::size_t attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    // Deadline check BEFORE dispatching (including the first attempt): the
-    // deadline runs from batch submission, so a configuration stuck in the
-    // license queue past it is reported as kTimedOut with attempts == 0 —
-    // distinguishable from a tool failure and never worth a retry.
-    if (has_deadline && clock::now() - batch_t0 > options_.run_deadline) {
-      rec.status = RunStatus::kTimedOut;
-      rec.error = rec.attempts == 0 ? "deadline expired while queued"
-                                    : "run exceeded deadline";
+  for (;;) {
+    // A retry waits out its backoff first; the deadline is then checked at
+    // dispatch, so a backoff that crosses the deadline spends no tool run.
+    std::this_thread::sleep_for(lifecycle_.backoff(rec.attempts));
+    if (lifecycle_.past_deadline(batch_t0, clock::now())) {
+      lifecycle_.expire(rec);
       break;
-    }
-    rec.attempts = attempt;
-    if (attempt > 1 && options_.retry_backoff.count() > 0) {
-      // Exponential backoff: base * 2^(retry-1).
-      std::this_thread::sleep_for(options_.retry_backoff *
-                                  (std::int64_t{1} << (attempt - 2)));
     }
     // Lease one shared license for this attempt. Scoped to the attempt, so
     // RAII releases it on every exit: normal classification, an oracle
@@ -124,14 +80,13 @@ RunRecord EvalService::run_one(const Config& config,
     if (options_.license_broker != nullptr) {
       lease = options_.license_broker->acquire(options_.session_tag);
       // The wait for a license counts toward the deadline, same as the
-      // worker queue: a run that only got a license after its deadline is
-      // as dead as one that hung.
-      if (has_deadline && clock::now() - batch_t0 > options_.run_deadline) {
-        rec.status = RunStatus::kTimedOut;
-        rec.error = "deadline expired while waiting for a license";
+      // worker queue.
+      if (lifecycle_.past_deadline(batch_t0, clock::now())) {
+        lifecycle_.expire(rec);
         break;
       }
     }
+    ++rec.attempts;
     // Register this attempt with the watchdog (no-op when disabled).
     CancelToken token;
     std::uint64_t flight_id = 0;
@@ -142,50 +97,36 @@ RunRecord EvalService::run_one(const Config& config,
       flight_id = next_flight_id_++;
       in_flight_.emplace(flight_id, InFlight{t0, &token});
     }
+    std::optional<QoR> qor;
+    std::string error;
     try {
-      const QoR qor = cancellable_ != nullptr
-                          ? cancellable_->evaluate_with_cancel(space_, config,
-                                                               token)
-                          : oracle_.evaluate(space_, config);
-      rec.status = RunStatus::kOk;
-      rec.qor = qor;
-      rec.error.clear();
+      qor = cancellable_ != nullptr
+                ? cancellable_->evaluate_with_cancel(space_, config, token)
+                : oracle_.evaluate(space_, config);
     } catch (const std::exception& e) {
-      rec.status = RunStatus::kFailed;
-      rec.error = e.what();
+      error = e.what();
     }
     const auto t1 = clock::now();
     if (watched) {
       std::lock_guard lock(watchdog_mutex_);
       in_flight_.erase(flight_id);
     }
-    // A watchdog cancellation is PERMANENT: the run is known-hung, its
-    // result (if the oracle returned one anyway) is not trusted, and
-    // retrying would hang again. Callers journal the kTimedOut record so a
-    // resumed run never re-selects this configuration.
+    // A watchdog cancellation wins over whatever the oracle returned: the
+    // run is known-hung and its result is not trusted. Callers journal the
+    // kTimedOut record so a resumed run never re-selects this
+    // configuration.
     if (token.cancelled()) {
-      rec.status = RunStatus::kTimedOut;
-      rec.error = "cancelled by watchdog (exceeded hard multiple of rolling "
-                  "median run time)";
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++stats_.runs_watchdog_cancelled;
-      }
+      lifecycle_.cancel_hung(rec);
       break;
     }
-    if (rec.status == RunStatus::kOk) {
-      // Post-hoc deadline classification (cooperative: the oracle already
-      // returned). Past-deadline results are discarded, not retried — any
-      // retry would finish even further past the deadline.
-      if (has_deadline && t1 - batch_t0 > options_.run_deadline) {
-        rec.status = RunStatus::kTimedOut;
-        rec.error = "run exceeded deadline";
-        break;
-      }
-      record_success_duration(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (qor.has_value()) {
+      lifecycle_.succeed(
+          rec, *qor,
+          std::chrono::duration<double, std::milli>(t1 - t0).count(),
+          batch_t0, t1);
       break;
     }
+    if (!lifecycle_.fail_attempt(rec, std::move(error))) break;
   }
   rec.elapsed_ms =
       std::chrono::duration<double, std::milli>(clock::now() - run_t0)
@@ -224,37 +165,12 @@ std::vector<RunRecord> EvalService::evaluate_batch(
     drain();
     group.wait();
   }
-  fold_into_stats(records);
+  lifecycle_.count_batch();
   return records;
 }
 
 RunRecord EvalService::evaluate(const Config& config) {
   return evaluate_batch({config}).front();
-}
-
-void EvalService::fold_into_stats(const std::vector<RunRecord>& records) {
-  std::lock_guard lock(stats_mutex_);
-  ++stats_.batches;
-  for (const RunRecord& rec : records) {
-    stats_.attempts += rec.attempts;
-    stats_.retries += rec.retries();
-    switch (rec.status) {
-      case RunStatus::kOk:
-        ++stats_.runs_ok;
-        break;
-      case RunStatus::kFailed:
-        ++stats_.runs_failed;
-        break;
-      case RunStatus::kTimedOut:
-        ++stats_.runs_timed_out;
-        break;
-    }
-  }
-}
-
-EvalServiceStats EvalService::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
 }
 
 }  // namespace ppat::flow

@@ -6,10 +6,12 @@
 // licenses (the paper's own batch-selection motivation). EvalService is the
 // layer that absorbs this: it takes a batch of configurations, fans them out
 // over common::ThreadPool with at most `licenses` runs in flight, applies a
-// per-run deadline and bounded retry with exponential backoff, and returns a
-// per-run outcome record instead of throwing — run failure is a first-class
-// outcome (as in FIST, ICCAD'20, and GC-Tuner'24, which discard or penalize
-// failed configurations rather than aborting the search).
+// per-run deadline and bounded retry with exponential backoff (the run
+// policy of flow::RunLifecycle, shared with dist::DistributedEvalService),
+// and returns a per-run outcome record instead of throwing — run failure is
+// a first-class outcome (as in FIST, ICCAD'20, and GC-Tuner'24, which
+// discard or penalize failed configurations rather than aborting the
+// search).
 //
 // Hung runs are handled by an optional heartbeat watchdog: a monitor thread
 // tracks every in-flight run and, once enough successful runs establish a
@@ -42,8 +44,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/license_broker.hpp"
 #include "flow/pd_tool.hpp"
+#include "flow/run_lifecycle.hpp"
 
 namespace ppat::common {
 class ThreadPool;
@@ -84,58 +86,17 @@ class CancellableOracle {
                                    const CancelToken& cancel) = 0;
 };
 
-struct EvalServiceOptions {
+/// EvalService's settings: the shared run policy plus how this service
+/// runs its own tool invocations.
+struct EvalServiceOptions : RunPolicy {
   /// Maximum tool runs in flight at once (parallel tool licenses). With one
   /// license the batch runs inline on the calling thread. When > 1 the
-  /// oracle must tolerate concurrent evaluate() calls.
+  /// oracle must tolerate concurrent evaluate() calls. With a
+  /// license_broker this bounds only this service's own workers.
   std::size_t licenses = 1;
-  /// Total attempts per configuration (1 = no retry).
-  std::size_t max_attempts = 3;
-  /// Backoff before retry r (1-based): retry_backoff * 2^(r-1). Zero
-  /// disables waiting (tests).
-  std::chrono::milliseconds retry_backoff{0};
-  /// Wall-clock deadline per configuration, measured from BATCH SUBMISSION
-  /// (queueing time counts: a licensed-out run that never dispatched before
-  /// its deadline is as dead as a hung one). A run past its deadline is
-  /// recorded as kTimedOut and NOT retried — a retry that must finish inside
-  /// an already-blown deadline is wasted license time. attempts == 0 marks a
-  /// run whose deadline expired while still queued. Zero disables the
-  /// deadline. Cooperative: an attempt already in flight is classified after
-  /// the oracle returns — a real tool wrapper should also enforce a hard
-  /// kill on its side (see CancellableOracle + the watchdog).
-  std::chrono::milliseconds run_deadline{0};
-
-  /// Hung-run watchdog: cancel any run whose wall-clock exceeds
-  /// watchdog_multiple * (rolling median of successful run durations).
-  /// 0 disables the watchdog (default: tool run times vary legitimately;
-  /// enabling this is a per-deployment decision).
-  double watchdog_multiple = 0.0;
-  /// Never cancel before this much wall-clock, regardless of the median
-  /// (guards the cold-start regime where the median is noisy).
-  std::chrono::milliseconds watchdog_floor{1000};
-  /// Successful runs required before the watchdog arms.
-  std::size_t watchdog_min_samples = 5;
-  /// Monitor thread poll interval.
+  /// Watchdog thread poll interval.
   std::chrono::milliseconds watchdog_poll{50};
-
-  /// Shared license pool for multi-session deployments. When set, every
-  /// tool ATTEMPT leases one license from the broker around the oracle call
-  /// (fair across sessions — see LicenseBroker), and `licenses` above only
-  /// bounds this service's own in-flight workers; the broker bounds the
-  /// fleet-wide total. The lease is RAII, so it is released on success,
-  /// failure, retry, deadline-timeout, and watchdog-cancel paths alike —
-  /// no outcome can leak a license. Null (default) keeps the single-tenant
-  /// behavior: `licenses` is the only concurrency bound.
-  std::shared_ptr<LicenseBroker> license_broker;
-  /// This service's identity in the broker's fair scheduling (one tag per
-  /// tuning session). Ignored when license_broker is null.
-  std::uint64_t session_tag = 0;
 };
-
-enum class RunStatus : unsigned char { kOk, kFailed, kTimedOut };
-const char* run_status_name(RunStatus status);
-
-struct RunRecord;
 
 /// Minimal batch-evaluation surface shared by the in-process EvalService and
 /// out-of-process evaluators (dist::DistributedEvalService). Pool layers
@@ -166,32 +127,6 @@ class BatchEvaluator {
   virtual const ParameterSpace& space() const = 0;
 };
 
-/// Outcome of one configuration's evaluation (all attempts folded in).
-struct RunRecord {
-  RunStatus status = RunStatus::kFailed;
-  QoR qor{};               ///< valid iff status == kOk
-  /// Total attempts made. 0 means the run was never dispatched (its
-  /// deadline expired while queued); otherwise >= 1.
-  std::size_t attempts = 0;
-  std::string error;       ///< last failure reason iff status != kOk
-  double elapsed_ms = 0.0;  ///< wall time across all attempts
-
-  bool ok() const { return status == RunStatus::kOk; }
-  std::size_t retries() const { return attempts > 0 ? attempts - 1 : 0; }
-};
-
-/// Aggregate counters across all batches (monitoring / bench output).
-struct EvalServiceStats {
-  std::size_t batches = 0;
-  std::size_t runs_ok = 0;
-  std::size_t runs_failed = 0;
-  std::size_t runs_timed_out = 0;
-  /// Subset of runs_timed_out that the watchdog cancelled as hung.
-  std::size_t runs_watchdog_cancelled = 0;
-  std::size_t attempts = 0;
-  std::size_t retries = 0;
-};
-
 /// License-bounded, retrying, deadline-aware batch evaluator over a
 /// QorOracle. The oracle and parameter space must outlive the service.
 class EvalService final : public BatchEvaluator {
@@ -216,15 +151,13 @@ class EvalService final : public BatchEvaluator {
 
   const EvalServiceOptions& options() const { return options_; }
   const ParameterSpace& space() const override { return space_; }
-  EvalServiceStats stats() const;
+  EvalServiceStats stats() const { return lifecycle_.stats(); }
 
  private:
-  using clock = std::chrono::steady_clock;
+  using clock = RunLifecycle::clock;
 
   RunRecord run_one(const Config& config, clock::time_point batch_t0);
-  void fold_into_stats(const std::vector<RunRecord>& records);
   void watchdog_loop();
-  void record_success_duration(double ms);
 
   QorOracle& oracle_;
   CancellableOracle* cancellable_ = nullptr;  ///< &oracle_ if it opts in
@@ -233,8 +166,7 @@ class EvalService final : public BatchEvaluator {
   /// Private pool sized to the license count (absent when licenses <= 1);
   /// kept across batches so workers are not re-spawned every round.
   std::unique_ptr<common::ThreadPool> pool_;
-  mutable std::mutex stats_mutex_;
-  EvalServiceStats stats_;
+  RunLifecycle lifecycle_;
 
   // Watchdog state (all guarded by watchdog_mutex_).
   struct InFlight {
@@ -245,10 +177,6 @@ class EvalService final : public BatchEvaluator {
   std::condition_variable watchdog_cv_;
   std::unordered_map<std::uint64_t, InFlight> in_flight_;
   std::uint64_t next_flight_id_ = 0;
-  /// Ring buffer of recent successful attempt durations (ms) for the
-  /// rolling median.
-  std::vector<double> recent_ok_ms_;
-  std::size_t recent_pos_ = 0;
   bool watchdog_stop_ = false;
   std::thread watchdog_thread_;
 };

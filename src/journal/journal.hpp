@@ -64,9 +64,8 @@ class JournalMismatchError : public JournalError {
   using JournalError::JournalError;
 };
 
-/// Outcome status of one journaled reveal. Values mirror flow::RunStatus
-/// (kOk/kFailed/kTimedOut) but are redeclared here so the journal library
-/// depends only on ppat_common.
+/// Outcome status of one tool run. flow::RunStatus is an alias of this
+/// enum, declared here so the journal library depends only on ppat_common.
 enum class RevealStatus : unsigned char { kOk = 0, kFailed = 1, kTimedOut = 2 };
 const char* reveal_status_name(RevealStatus status);
 

@@ -7,21 +7,6 @@
 #include "journal/journal.hpp"
 
 namespace ppat::tuner {
-namespace {
-
-journal::RevealStatus to_reveal_status(flow::RunStatus status) {
-  switch (status) {
-    case flow::RunStatus::kOk:
-      return journal::RevealStatus::kOk;
-    case flow::RunStatus::kTimedOut:
-      return journal::RevealStatus::kTimedOut;
-    case flow::RunStatus::kFailed:
-      break;
-  }
-  return journal::RevealStatus::kFailed;
-}
-
-}  // namespace
 
 LiveCandidatePool::LiveCandidatePool(std::vector<flow::Config> candidates,
                                      std::vector<std::size_t> objectives,
@@ -75,7 +60,7 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
       observer = [this, &pending](std::size_t j, const flow::RunRecord& rec) {
         journal::RevealRecord out;
         out.id = pending[j];
-        out.status = to_reveal_status(rec.status);
+        out.status = rec.status;
         out.attempts = rec.attempts;
         out.elapsed_ms = rec.elapsed_ms;
         if (rec.ok()) {
@@ -120,7 +105,7 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
           records_[i].status == flow::RunStatus::kTimedOut;
       std::ostringstream msg;
       msg << "candidate " << i << " "
-          << flow::run_status_name(records_[i].status) << " after "
+          << journal::reveal_status_name(records_[i].status) << " after "
           << records_[i].attempts << " attempt(s): " << records_[i].error;
       outcomes[j].error = msg.str();
     }

@@ -68,22 +68,20 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
 
   // Surrogate maintenance threads. All randomness is drawn on this thread
   // (prepare_refit) and all parallel partitions are bit-stable, so the
-  // results are identical for every thread count. A caller-provided
-  // per-session pool is installed as this thread's current pool for the
-  // whole run; only the single-run path sizes the global singleton
-  // (which is unsafe under concurrent sessions — resizing joins workers
-  // that other sessions may be running on).
-  std::optional<common::ScopedPool> session_pool;
-  if (options.thread_pool != nullptr) {
-    session_pool.emplace(options.thread_pool);
-  } else {
+  // results are identical for every thread count. The caller's pool, or
+  // one this run owns, is installed as this thread's current pool for the
+  // whole run; the process-global pool is never touched.
+  std::optional<common::ThreadPool> owned_pool;
+  common::ThreadPool* threads = options.thread_pool;
+  if (threads == nullptr) {
     std::size_t num_threads = options.num_threads;
     if (num_threads == 0) {
       const unsigned hw = std::thread::hardware_concurrency();
       num_threads = hw == 0 ? 1 : hw;
     }
-    common::set_global_thread_count(num_threads);
+    threads = &owned_pool.emplace(num_threads);
   }
+  const common::ScopedPool run_pool(threads);
 
   // ---- Initialization (Alg. 1 lines 1-2) ----
   if (n == 0) {

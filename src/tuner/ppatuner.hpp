@@ -73,16 +73,17 @@ struct PPATunerOptions {
   /// plus row-parallel linear algebra); 0 means hardware concurrency. Every
   /// value produces identical results — randomness is drawn serially and the
   /// parallel partitions are bit-stable — and 1 runs the work inline with no
-  /// pool at all. Ignored when `thread_pool` is set.
+  /// pool at all. The run owns a pool of this size for its duration and
+  /// never resizes the process-global pool. Ignored when `thread_pool` is
+  /// set.
   std::size_t num_threads = 0;
-  /// Per-session thread pool for all of this run's surrogate maintenance
-  /// and linear algebra. Null (default): the run sizes and uses the
-  /// process-global pool via num_threads — the single-run behavior, kept
-  /// bit-identical. Non-null: the run brackets itself in a
-  /// common::ScopedPool over this pool and NEVER touches the global
-  /// singleton, so concurrent in-process sessions neither share nor resize
-  /// each other's pools (the pool must outlive the call; results are still
-  /// identical for every pool size). Not owned.
+  /// Thread pool for all of this run's surrogate maintenance and linear
+  /// algebra, e.g. one pool per server session. Null (default): the run
+  /// builds its own pool of `num_threads`. Either way the run brackets
+  /// itself in a common::ScopedPool over that pool and never touches the
+  /// global singleton, so concurrent in-process runs neither share nor
+  /// resize each other's pools (results are identical for every pool
+  /// size). Must outlive the call; not owned.
   common::ThreadPool* thread_pool = nullptr;
   /// Fill PPATunerProgress::pareto_ids on every on_round call (streaming
   /// Pareto-front updates). Off by default: assembling the id list per

@@ -19,12 +19,14 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "dist/coordinator.hpp"
 #include "dist/oracles.hpp"
 #include "dist/worker.hpp"
 #include "flow/eval_service.hpp"
+#include "flow/oracle_decorators.hpp"
 #include "journal/reveal_ledger.hpp"
 #include "server/wire.hpp"
 #include "tuner/live_pool.hpp"
@@ -67,15 +69,22 @@ std::vector<flow::Config> make_batch(const flow::ParameterSpace& space,
 }
 
 /// In-process worker thread: connect, serve, record the loop's exit code.
+/// With `faults`, the worker serves its oracle through a
+/// FaultInjectingOracle with that schedule.
 class WorkerThread {
  public:
   WorkerThread(const std::string& socket, std::uint64_t seed,
-               dist::WorkerLoopOptions opts = {})
+               dist::WorkerLoopOptions opts = {},
+               std::optional<flow::FaultInjectionOptions> faults = {})
       : oracle_(seed),
         space_(dist::unit_cube_space(3)),
-        thread_([this, socket, opts] {
+        thread_([this, socket, opts, faults] {
+          std::optional<flow::FaultInjectingOracle> faulty;
+          flow::QorOracle* served = &oracle_;
+          if (faults.has_value()) served = &faulty.emplace(oracle_, *faults);
           const int fd = dist::connect_worker(socket);
-          rc_ = fd < 0 ? -1 : dist::run_worker_loop(fd, oracle_, space_, opts);
+          rc_ = fd < 0 ? -1
+                       : dist::run_worker_loop(fd, *served, space_, opts);
         }) {}
   ~WorkerThread() { join(); }
 
@@ -137,6 +146,56 @@ TEST(Distributed, SingleWorkerMatchesEvalServiceBitwise) {
   }
   EXPECT_EQ(fingerprint(got), fingerprint(expect));
   EXPECT_EQ(stats.runs_ok, configs.size());
+}
+
+TEST(Distributed, SingleWorkerMatchesEvalServiceUnderFaults) {
+  // One seeded fault schedule (transient and permanent failures) through
+  // both evaluators: they share one RunLifecycle, so every record and every
+  // shared stats counter must agree.
+  const auto space = dist::unit_cube_space(3);
+  const auto configs = make_batch(space, 24, 17);
+  flow::FaultInjectionOptions faults;
+  faults.transient_failure_rate = 0.35;
+  faults.permanent_failure_rate = 0.15;
+  faults.seed = 0xfa017;
+
+  dist::SyntheticOracle reference(17);
+  flow::FaultInjectingOracle faulty(reference, faults);
+  flow::EvalServiceOptions eopt;
+  eopt.max_attempts = 3;
+  flow::EvalService local(faulty, space, eopt);
+  const auto expect = local.evaluate_batch(configs);
+  const flow::EvalServiceStats want = local.stats();
+  // The schedule exercises every path: clean runs, recovered retries, and
+  // runs that exhaust their attempts.
+  ASSERT_GT(want.runs_ok, 0u);
+  ASSERT_GT(want.runs_failed, 0u);
+  ASSERT_GT(want.retries, want.runs_failed * 2);
+
+  dist::DistributedOptions dopt;
+  dopt.socket_path = tmp_socket("faultparity");
+  dopt.max_attempts = 3;
+  Coord coord = make_coord(space, dopt);
+  WorkerThread worker(dopt.socket_path, 17, {}, faults);
+  ASSERT_TRUE(coord->wait_for_workers(1, std::chrono::seconds(5)));
+  const auto got = coord->evaluate_batch(configs);
+  const dist::DistributedStats stats = coord->stats();
+  coord.reset();
+
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, expect[i].status) << i;
+    EXPECT_EQ(got[i].attempts, expect[i].attempts) << i;
+    EXPECT_EQ(got[i].error, expect[i].error) << i;
+  }
+  EXPECT_EQ(fingerprint(got), fingerprint(expect));
+  EXPECT_EQ(stats.batches, want.batches);
+  EXPECT_EQ(stats.runs_ok, want.runs_ok);
+  EXPECT_EQ(stats.runs_failed, want.runs_failed);
+  EXPECT_EQ(stats.runs_timed_out, want.runs_timed_out);
+  EXPECT_EQ(stats.runs_watchdog_cancelled, want.runs_watchdog_cancelled);
+  EXPECT_EQ(stats.attempts, want.attempts);
+  EXPECT_EQ(stats.retries, want.retries);
 }
 
 TEST(Distributed, FingerprintIdenticalAcrossWorkerCounts) {
@@ -372,6 +431,63 @@ TEST(Distributed, DeadlineExpiredWhileQueuedHasZeroAttempts) {
     EXPECT_EQ(r.attempts, 0u);
     EXPECT_EQ(r.error, "deadline expired while queued");
   }
+}
+
+TEST(Distributed, WatchdogCancelsHungRunPermanently) {
+  const auto space = dist::unit_cube_space(3);
+  const auto configs = make_batch(space, 7, 23);
+
+  dist::DistributedOptions dopt;
+  dopt.socket_path = tmp_socket("watchdog");
+  dopt.max_attempts = 3;
+  dopt.watchdog_multiple = 2.0;
+  // Far above a warm-up run's round trip, so only the hung run trips it.
+  dopt.watchdog_floor = std::chrono::milliseconds(200);
+  dopt.watchdog_min_samples = 4;
+  dopt.poll_interval = std::chrono::milliseconds(10);
+  Coord coord = make_coord(space, dopt);
+
+  // The worker's tool hangs while `hang` is set (bounded at 10 s), until
+  // the test releases it after the batch returns.
+  std::atomic<bool> hang{false};
+  std::atomic<int> hung_calls{0};
+  dist::WorkerLoopOptions opts;
+  opts.on_eval = [&](std::uint64_t, std::uint32_t, const flow::Config&) {
+    if (!hang.load()) return;
+    hung_calls.fetch_add(1);
+    const auto t0 = std::chrono::steady_clock::now();
+    while (hang.load() &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  WorkerThread worker(dopt.socket_path, 23, opts);
+  ASSERT_TRUE(coord->wait_for_workers(1, std::chrono::seconds(5)));
+
+  // Establish the rolling median with fast, successful runs.
+  const auto warmup =
+      coord->evaluate_batch({configs.begin(), configs.begin() + 6});
+  for (const auto& rec : warmup) ASSERT_TRUE(rec.ok());
+
+  // Now hang: the coordinator cancels by disconnecting the worker, and the
+  // cancellation is PERMANENT — one attempt, no retry into another hang.
+  hang.store(true);
+  const auto records = coord->evaluate_batch({configs[6]});
+  const auto stats = coord->stats();
+  const auto survivors = coord->worker_count();
+  hang.store(false);
+  coord.reset();
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].status, flow::RunStatus::kTimedOut);
+  EXPECT_EQ(records[0].attempts, 1u);
+  EXPECT_NE(records[0].error.find("watchdog"), std::string::npos);
+  EXPECT_EQ(hung_calls.load(), 1);
+  EXPECT_EQ(stats.runs_watchdog_cancelled, 1u);
+  EXPECT_EQ(stats.runs_timed_out, 1u);
+  EXPECT_EQ(stats.runs_ok, 6u);
+  EXPECT_EQ(stats.worker_deaths, 1u);
+  EXPECT_EQ(survivors, 0u);
 }
 
 TEST(Distributed, NoWorkersGraceFailsTheBatch) {

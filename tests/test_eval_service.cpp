@@ -421,6 +421,27 @@ TEST(EvalService, DeadlineExpiredWhileQueuedReportsZeroAttempts) {
   EXPECT_EQ(stats.retries, 0u);
 }
 
+TEST(EvalService, RetryBackoffPastDeadlineSpendsNoToolRun) {
+  const auto space = testing::synthetic_space();
+  const auto configs = make_configs(space, 1, 31);
+  testing::SyntheticOracle inner;
+  FlakyOracle flaky(inner, 1);  // the first attempt fails
+  flow::EvalServiceOptions opt;
+  opt.max_attempts = 2;
+  opt.retry_backoff = std::chrono::milliseconds(200);
+  opt.run_deadline = std::chrono::milliseconds(100);
+  flow::EvalService service(flaky, space, opt);
+
+  // The retry's backoff ends past the deadline. The deadline is checked at
+  // dispatch, after the backoff, so the retry never reaches the tool.
+  const auto record = service.evaluate(configs[0]);
+  EXPECT_EQ(flaky.attempts_seen(configs[0]), 1u);
+  EXPECT_EQ(record.status, flow::RunStatus::kTimedOut);
+  EXPECT_EQ(record.attempts, 1u);
+  EXPECT_EQ(record.error, "run exceeded deadline");
+  EXPECT_EQ(service.stats().attempts, 1u);
+}
+
 /// Cancellable oracle that can be switched into a hung state: a hung run
 /// spins until the watchdog's CancelToken fires (or a 10 s safety bound).
 class HangingOracle final : public flow::QorOracle,

@@ -243,5 +243,36 @@ TEST(PpaTunerThreading, PlainGpThreadCountDoesNotChangeResults) {
   EXPECT_EQ(rs.tool_runs, rt.tool_runs);
 }
 
+TEST(PpaTunerThreading, RunOwnsItsPoolAndLeavesGlobalPoolAlone) {
+  const flow::BenchmarkSet target =
+      testing::synthetic_benchmark("tgt", 160, 14, 0.0);
+  const std::size_t previous = common::global_thread_count();
+  common::set_global_thread_count(3);
+
+  PPATunerOptions serial;
+  serial.seed = 23;
+  serial.max_runs = 30;
+  serial.num_threads = 1;
+  PPATunerOptions threaded = serial;
+  threaded.num_threads = 2;
+
+  BenchmarkCandidatePool pool_serial(&target, kPowerDelay);
+  BenchmarkCandidatePool pool_threaded(&target, kPowerDelay);
+  const auto rs = run_ppatuner(pool_serial, make_plain_gp_factory(), serial);
+  const std::size_t after_serial = common::global_thread_count();
+  const auto rt = run_ppatuner(pool_threaded, make_plain_gp_factory(),
+                               threaded);
+  const std::size_t after_threaded = common::global_thread_count();
+  common::set_global_thread_count(previous);
+
+  EXPECT_EQ(after_serial, 3u);
+  EXPECT_EQ(after_threaded, 3u);
+  EXPECT_EQ(rs.pareto_indices, rt.pareto_indices);
+  EXPECT_EQ(rs.tool_runs, rt.tool_runs);
+  for (std::size_t i = 0; i < pool_serial.size(); ++i) {
+    EXPECT_EQ(pool_serial.is_revealed(i), pool_threaded.is_revealed(i)) << i;
+  }
+}
+
 }  // namespace
 }  // namespace ppat::tuner

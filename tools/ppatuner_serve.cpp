@@ -194,16 +194,9 @@ int main(int argc, char** argv) {
             const flow::EvalServiceOptions& eval)
         -> std::unique_ptr<flow::BatchEvaluator> {
       dist::DistributedOptions dopt;
+      static_cast<flow::RunPolicy&>(dopt) = eval;
       dopt.socket_path = base_socket + ".w" + std::to_string(session_id);
       dopt.session_epoch = session_id;
-      dopt.session_tag = eval.session_tag;
-      dopt.license_broker = eval.license_broker;
-      dopt.max_attempts = eval.max_attempts;
-      dopt.retry_backoff = eval.retry_backoff;
-      dopt.run_deadline = eval.run_deadline;
-      dopt.watchdog_multiple = eval.watchdog_multiple;
-      dopt.watchdog_floor = eval.watchdog_floor;
-      dopt.watchdog_min_samples = eval.watchdog_min_samples;
       auto coord =
           std::make_unique<dist::DistributedEvalService>(space, dopt);
       for (std::size_t w = 0; w < workers; ++w) {
