@@ -1,16 +1,10 @@
 // Surrogate maintenance scaling.
 //
-// Phase 1 (exact tier, n in {64..512}): times the production
-// add_observation (rank-1 factor append) and optimize_hyperparameters
-// (distance-cached NLL) paths. These rows have no comparison arm, so their
-// ops_per_sec_legacy and speedup are null.
-//
-// Phase 2 (exact vs low-rank, n in {2048..65536}): times full
-// hyper-parameter refits on the scalable DTC tier (gp/sparse.hpp, m = 256
-// inducing points) against the exact tier where the exact tier is still
-// reachable (n = 2048; beyond that a single exact refit is the minutes-long
-// wall this tier exists to avoid). Also times warm-started second refits
-// and serial-vs-parallel multi-restart search.
+// Times the production add_observation (rank-1 factor append) and
+// optimize_hyperparameters (distance-cached NLL) paths of both GP classes at
+// n in {64..512} source points (transfer rows add n/4 target points). The
+// rows have no comparison arm, so their ops_per_sec_legacy and speedup are
+// null (the columns stay for schema continuity with older records).
 //
 // All timed loops are wall-clock budgeted (run until kMinSeconds, at least
 // min_iters, at most max_iters) instead of a fixed repetition count, so
@@ -19,16 +13,10 @@
 //
 // Emits BENCH_surrogate.json (machine-readable, ops/sec per phase) in the
 // working directory and a summary table on stdout.
-//
-// --smoke-lowrank: CI regression gate. Runs one approximate-tier refit at
-// n = 4096 and exits nonzero if the tier failed to activate or throughput
-// fell below the floor.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,10 +89,7 @@ struct PhaseResult {
   std::string model;  // "plain" | "transfer"
   std::string phase;
   std::size_t n = 0;  // training-set size the phase ran at
-  double ops_per_sec_new = 0.0;
-  /// Comparison arm (phase 2 only); NaN when there is none.
-  double ops_per_sec_legacy = std::numeric_limits<double>::quiet_NaN();
-  double speedup() const { return ops_per_sec_new / ops_per_sec_legacy; }
+  double ops_per_sec = 0.0;
 };
 
 gp::GaussianProcess make_plain(const std::vector<linalg::Vector>& xs,
@@ -124,9 +109,6 @@ gp::TransferGaussianProcess make_transfer(
   return model;
 }
 
-// ---------------------------------------------------------------------------
-// Phase 1: production append and refit (exact tier)
-
 PhaseResult bench_plain_append(std::size_t n) {
   common::Rng rng(100 + n);
   const auto train = draw_points(n, rng);
@@ -134,7 +116,7 @@ PhaseResult bench_plain_append(std::size_t n) {
   const auto train_y = responses(train);
   PhaseResult r{"plain", "add_observation", n};
   std::unique_ptr<gp::GaussianProcess> model;
-  r.ops_per_sec_new = time_budgeted(
+  r.ops_per_sec = time_budgeted(
       [&] {
         model =
             std::make_unique<gp::GaussianProcess>(make_plain(train, train_y));
@@ -154,7 +136,7 @@ PhaseResult bench_plain_refit(std::size_t n) {
   opt.max_points = n;  // time the full n, not the default subsample cap
   PhaseResult r{"plain", "optimize_hyperparameters", n};
   std::unique_ptr<gp::GaussianProcess> model;
-  r.ops_per_sec_new = time_budgeted(
+  r.ops_per_sec = time_budgeted(
       [&] {
         // Fresh model per iter so every timed refit starts from the same
         // hyperparameters and walks the same search trajectory.
@@ -180,7 +162,7 @@ PhaseResult bench_transfer_append(std::size_t n) {
   const auto tgt_y = responses(tgt);
   PhaseResult r{"transfer", "add_observation", n + n / 4};
   std::unique_ptr<gp::TransferGaussianProcess> model;
-  r.ops_per_sec_new = time_budgeted(
+  r.ops_per_sec = time_budgeted(
       [&] {
         model = std::make_unique<gp::TransferGaussianProcess>(
             make_transfer(src, src_y, tgt, tgt_y));
@@ -205,7 +187,7 @@ PhaseResult bench_transfer_refit(std::size_t n) {
   opt.max_target_points = n;
   PhaseResult r{"transfer", "optimize_hyperparameters", n + n / 4};
   std::unique_ptr<gp::TransferGaussianProcess> model;
-  r.ops_per_sec_new = time_budgeted(
+  r.ops_per_sec = time_budgeted(
       [&] {
         model = std::make_unique<gp::TransferGaussianProcess>(
             make_transfer(src, src_y, tgt, tgt_y));
@@ -217,132 +199,6 @@ PhaseResult bench_transfer_refit(std::size_t n) {
       /*min_iters=*/1, /*max_iters=*/20);
   return r;
 }
-
-// ---------------------------------------------------------------------------
-// Phase 2: exact vs low-rank tier at large n
-
-gp::FitOptions large_refit_options(std::size_t n) {
-  gp::FitOptions opt;
-  opt.max_points = std::min<std::size_t>(n, 2048);  // same subset both tiers
-  opt.restarts = 1;
-  opt.max_evals = 30;
-  return opt;
-}
-
-gp::LowRankOptions lowrank_options() {
-  gp::LowRankOptions lr;
-  lr.enabled = true;
-  lr.switchover = 1024;
-  lr.num_inducing = 256;
-  return lr;
-}
-
-/// Refits/sec at n points on the chosen tier. Models are constructed and
-/// fitted untimed; each timed op is one full optimize_hyperparameters
-/// (search on the capped subset + posterior rebuild on all n points).
-double bench_large_refit_tier(std::size_t n,
-                              const std::vector<linalg::Vector>& train,
-                              const linalg::Vector& train_y, bool lowrank) {
-  const auto opt = large_refit_options(n);
-  std::unique_ptr<gp::GaussianProcess> model;
-  return time_budgeted(
-      [&] {
-        model = std::make_unique<gp::GaussianProcess>(
-            std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0), 1e-4);
-        if (lowrank) model->set_low_rank(lowrank_options());
-        model->fit(train, train_y);
-      },
-      [&] {
-        common::Rng rng(7);
-        model->optimize_hyperparameters(rng, opt);
-      },
-      /*min_iters=*/1, /*max_iters=*/10);
-}
-
-PhaseResult bench_lowrank_refit(std::size_t n, std::size_t exact_ceiling) {
-  common::Rng data_rng(500 + n);
-  const auto train = draw_points(n, data_rng);
-  const auto train_y = responses(train);
-  PhaseResult r{"plain", "lowrank_refit", n};
-  r.ops_per_sec_new = bench_large_refit_tier(n, train, train_y, true);
-  if (n <= exact_ceiling) {
-    r.ops_per_sec_legacy = bench_large_refit_tier(n, train, train_y, false);
-  }
-  return r;
-}
-
-/// Warm-started second refit vs cold second refit, low-rank tier, same data.
-/// The warm path seeds the search at the previous optimum and stops on a
-/// collapsed simplex (nm_f_tolerance), so this measures the steady-state
-/// refit cost a long tuning run actually pays.
-PhaseResult bench_warm_refit(std::size_t n) {
-  common::Rng data_rng(600 + n);
-  const auto train = draw_points(n, data_rng);
-  const auto train_y = responses(train);
-  PhaseResult r{"plain", "warm_refit", n};
-  for (bool warm : {true, false}) {
-    auto opt = large_refit_options(n);
-    // A production refit budget: the cold arm spends all of it, the warm arm
-    // (seeded at the previous optimum, early-stopping on a collapsed
-    // simplex) should bail out after a handful of evaluations.
-    opt.max_evals = 60;
-    opt.warm_start = warm;
-    if (warm) opt.nm_f_tolerance = 1e-4;
-    std::unique_ptr<gp::GaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          model = std::make_unique<gp::GaussianProcess>(
-              std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0), 1e-4);
-          model->set_low_rank(lowrank_options());
-          model->fit(train, train_y);
-          common::Rng rng(7);  // untimed first refit primes the warm state
-          model->optimize_hyperparameters(rng, opt);
-        },
-        [&] {
-          common::Rng rng(8);
-          model->optimize_hyperparameters(rng, opt);
-        },
-        /*min_iters=*/1, /*max_iters=*/10);
-    (warm ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
-  return r;
-}
-
-/// Shipped multi-restart config vs forced-serial on the exact tier. Below
-/// FitOptions::parallel_restart_min_points the shipped path is itself
-/// serial (the fork/join overhead measured slower than the restart work at
-/// n = 384), so small n must read ~1.0x — the old sub-1.0x regression is
-/// the thing this gate removed. On a single-core runner the large-n ratio
-/// is also ~1 by construction; the "threads" field in the JSON records what
-/// the measurement actually had to work with.
-PhaseResult bench_multistart(std::size_t n) {
-  common::Rng data_rng(700 + n);
-  const auto train = draw_points(n, data_rng);
-  const auto train_y = responses(train);
-  gp::FitOptions opt;
-  opt.max_points = n;
-  opt.restarts = 8;
-  opt.max_evals = 40;
-  PhaseResult r{"plain", "multistart_refit", n};
-  for (bool parallel : {true, false}) {
-    opt.parallel_restarts = parallel;
-    std::unique_ptr<gp::GaussianProcess> model;
-    const double ops = time_budgeted(
-        [&] {
-          model = std::make_unique<gp::GaussianProcess>(
-              make_plain(train, train_y));
-        },
-        [&] {
-          common::Rng rng(7);
-          model->optimize_hyperparameters(rng, opt);
-        },
-        /*min_iters=*/1, /*max_iters=*/20);
-    (parallel ? r.ops_per_sec_new : r.ops_per_sec_legacy) = ops;
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 
 void write_json(const std::vector<PhaseResult>& results, const char* path) {
   std::FILE* f = std::fopen(path, "w");
@@ -358,54 +214,19 @@ void write_json(const std::vector<PhaseResult>& results, const char* path) {
     const auto& r = results[i];
     std::fprintf(f,
                  "    {\"model\": \"%s\", \"phase\": \"%s\", \"n\": %zu, "
-                 "\"ops_per_sec_new\": %s, \"ops_per_sec_legacy\": %s, "
-                 "\"speedup\": %s}%s\n",
+                 "\"ops_per_sec_new\": %s, \"ops_per_sec_legacy\": null, "
+                 "\"speedup\": null}%s\n",
                  r.model.c_str(), r.phase.c_str(), r.n,
-                 bench::json_double(r.ops_per_sec_new, 6).c_str(),
-                 bench::json_double(r.ops_per_sec_legacy, 6).c_str(),
-                 bench::json_double(r.speedup(), 4).c_str(),
+                 bench::json_double(r.ops_per_sec, 6).c_str(),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
-int smoke_lowrank() {
-  // CI gate: the approximate tier must activate at n = 4096 and keep refits
-  // under 25 s (0.04 refits/sec) — an order of magnitude of headroom over
-  // the reference machine's ~0.4/sec, so only a real regression trips it.
-  constexpr std::size_t n = 4096;
-  constexpr double kMinOpsPerSec = 0.04;
-  common::Rng data_rng(500 + n);
-  const auto train = draw_points(n, data_rng);
-  const auto train_y = responses(train);
-
-  gp::GaussianProcess model(
-      std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0), 1e-4);
-  model.set_low_rank(lowrank_options());
-  model.fit(train, train_y);
-  if (!model.low_rank_active()) {
-    std::fprintf(stderr, "FAIL: low-rank tier did not activate at n=%zu\n", n);
-    return 1;
-  }
-  const double ops = bench_large_refit_tier(n, train, train_y, true);
-  std::printf("smoke-lowrank: n=%zu refits/sec=%.4f (floor %.4f)\n", n, ops,
-              kMinOpsPerSec);
-  if (!(ops >= kMinOpsPerSec)) {
-    std::fprintf(stderr, "FAIL: approximate refit below the ops/sec floor\n");
-    return 1;
-  }
-  std::printf("smoke-lowrank: PASS\n");
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke-lowrank") == 0) {
-    return smoke_lowrank();
-  }
-
+int main() {
   std::vector<PhaseResult> results;
   for (std::size_t n : {64u, 128u, 256u, 512u}) {
     results.push_back(bench_plain_append(n));
@@ -414,29 +235,14 @@ int main(int argc, char** argv) {
     results.push_back(bench_transfer_refit(n));
     std::fprintf(stderr, "n=%zu done\n", n);
   }
-  // Exact comparison stops at 2048: one exact refit there already takes on
-  // the order of a minute; beyond, only the approximate tier is measured
-  // (that cliff is the tier's reason to exist).
-  for (std::size_t n : {2048u, 4096u, 16384u, 65536u}) {
-    results.push_back(bench_lowrank_refit(n, /*exact_ceiling=*/2048));
-    std::fprintf(stderr, "lowrank n=%zu done\n", n);
-  }
-  results.push_back(bench_warm_refit(2048));
-  std::fprintf(stderr, "warm refit done\n");
-  // One point under the serial-fallback threshold, one above it.
-  results.push_back(bench_multistart(384));
-  results.push_back(bench_multistart(768));
-  std::fprintf(stderr, "multistart done\n");
 
   write_json(results, "BENCH_surrogate.json");
 
   std::printf("threads: %zu\n", common::global_thread_count());
-  std::printf("%-9s %-25s %6s %14s %14s %9s\n", "model", "phase", "n",
-              "new ops/s", "legacy ops/s", "speedup");
+  std::printf("%-9s %-25s %6s %14s\n", "model", "phase", "n", "ops/s");
   for (const auto& r : results) {
-    std::printf("%-9s %-25s %6zu %14.3f %14.3f %8.2fx\n", r.model.c_str(),
-                r.phase.c_str(), r.n, r.ops_per_sec_new, r.ops_per_sec_legacy,
-                r.speedup());
+    std::printf("%-9s %-25s %6zu %14.3f\n", r.model.c_str(), r.phase.c_str(),
+                r.n, r.ops_per_sec);
   }
   return 0;
 }

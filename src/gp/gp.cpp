@@ -29,42 +29,17 @@ void GaussianProcess::fit(std::vector<linalg::Vector> xs, linalg::Vector ys) {
   }
   xs_ = std::move(xs);
   ys_raw_ = std::move(ys);
+  standardize();
+  factorize();
+}
+
+void GaussianProcess::standardize() {
   y_mean_ = common::mean(ys_raw_);
   y_sd_ = std::max(1e-12, common::stddev(ys_raw_));
   ys_std_.resize(ys_raw_.size());
   for (std::size_t i = 0; i < ys_raw_.size(); ++i) {
     ys_std_[i] = (ys_raw_[i] - y_mean_) / y_sd_;
   }
-  rebuild_posterior();
-}
-
-bool GaussianProcess::use_low_rank(std::size_t n) const {
-  return low_rank_.enabled && kernel_->supports_sqdist() &&
-         n > low_rank_.switchover;
-}
-
-void GaussianProcess::rebuild_posterior() {
-  if (use_low_rank(xs_.size())) {
-    build_sparse();
-  } else {
-    factorize();
-  }
-}
-
-void GaussianProcess::build_sparse() {
-  auto sp = SparsePosterior::build(*kernel_, xs_, ys_std_, /*n_source=*/0,
-                                   /*rho=*/1.0, noise_variance_,
-                                   noise_variance_, low_rank_.num_inducing);
-  if (!sp) {
-    throw std::runtime_error(
-        "GaussianProcess: low-rank system not positive definite");
-  }
-  sparse_ = std::move(*sp);
-  // The exact factor (if any) no longer matches the data; drop it so every
-  // exact-path accessor fails loudly rather than serving a stale posterior.
-  chol_.reset();
-  alpha_.clear();
-  ++posterior_epoch_;
 }
 
 bool GaussianProcess::try_append_to_factor(const linalg::Vector& x) {
@@ -91,14 +66,6 @@ void GaussianProcess::add_observation(const linalg::Vector& x, double y) {
   // Keep the standardization frozen between refits so alpha stays coherent;
   // optimize_hyperparameters() re-standardizes from scratch via fit paths.
   ys_std_.push_back((y - y_mean_) / y_sd_);
-  if (sparse_) {
-    // O(m^2 + m^3) Woodbury extension, independent of history size. The
-    // tier never switches on an append (see set_low_rank).
-    if (!sparse_->append(*kernel_, x, ys_std_.back(), noise_variance_)) {
-      build_sparse();
-    }
-    return;
-  }
   if (try_append_to_factor(x)) {
     alpha_ = chol_->solve(ys_std_);
   } else {
@@ -116,18 +83,6 @@ void GaussianProcess::add_observation_batch(
   if (xs_.empty()) {
     fit({xs[0]}, {ys[0]});
     next = 1;
-  }
-  if (sparse_) {
-    for (; next < xs.size(); ++next) {
-      xs_.push_back(xs[next]);
-      ys_raw_.push_back(ys[next]);
-      ys_std_.push_back((ys[next] - y_mean_) / y_sd_);
-      if (!sparse_->append(*kernel_, xs[next], ys_std_.back(),
-                           noise_variance_)) {
-        build_sparse();
-      }
-    }
-    return;
   }
   bool appended = true;
   for (; next < xs.size(); ++next) {
@@ -158,17 +113,12 @@ void GaussianProcess::factorize() {
   }
   chol_ = std::move(chol);
   alpha_ = chol_->solve(ys_std_);
-  sparse_.reset();
   // Cached whitened posterior solves are against the old factor; a full
   // re-factorization (unlike a rank-1 append) invalidates them.
   ++posterior_epoch_;
 }
 
 const linalg::CholeskyFactor& GaussianProcess::factor() const {
-  if (sparse_) {
-    throw std::runtime_error(
-        "GaussianProcess: exact factor unavailable on the low-rank tier");
-  }
   if (!chol_) throw std::runtime_error("GaussianProcess: not fitted");
   return *chol_;
 }
@@ -182,7 +132,6 @@ void GaussianProcess::cross_rows(const linalg::Vector& x, std::size_t row0,
 }
 
 double GaussianProcess::log_marginal_likelihood() const {
-  if (sparse_) return sparse_->log_marginal();
   if (!chol_) throw std::runtime_error("GaussianProcess: not fitted");
   const double n = static_cast<double>(xs_.size());
   return -0.5 * linalg::dot(ys_std_, alpha_) - 0.5 * chol_->log_det() -
@@ -245,22 +194,6 @@ double GaussianProcess::nll_from_cache(const linalg::Vector& log_params,
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }
 
-double GaussianProcess::nll_low_rank(const linalg::Vector& log_params,
-                                     const Landmarks& lm,
-                                     const linalg::Vector& ys_subset) const {
-  for (double p : log_params) {
-    if (!std::isfinite(p) || std::fabs(p) > 12.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  auto k = kernel_->clone();
-  linalg::Vector kp(log_params.begin(), log_params.end() - 1);
-  k->set_hyperparameters(kp);
-  const double noise = std::exp(log_params.back());
-  return low_rank_nll(*k, lm, ys_subset, /*n_source=*/0, /*rho=*/1.0, noise,
-                      noise);
-}
-
 GaussianProcess::RefitPlan GaussianProcess::prepare_refit(
     common::Rng& rng, const FitOptions& options) const {
   if (xs_.empty()) {
@@ -276,25 +209,13 @@ GaussianProcess::RefitPlan GaussianProcess::prepare_refit(
   plan.current = kernel_->hyperparameters();
   plan.current.push_back(std::log(std::max(options.min_noise_variance,
                                            noise_variance_)));
-  const linalg::Vector* first = &plan.current;
-  if (options.warm_start && last_optimum_ &&
-      last_optimum_->size() == plan.current.size()) {
-    first = &*last_optimum_;
-  }
-  plan.starts = refit_starts(rng, plan.current, *first, options.restarts);
+  plan.starts = refit_starts(rng, plan.current, options.restarts);
   return plan;
 }
 
 void GaussianProcess::execute_refit(const RefitPlan& plan) {
   const FitOptions& options = plan.options;
 
-  // Objective tier: above the switchover the subset NLL runs through the
-  // DTC approximation — landmarks via farthest-point sampling, one m x n
-  // distance block reused across every evaluation (the low-rank analogue of
-  // the exact tier's distance cache), O(n m^2) per evaluation instead of
-  // O(n^3). Landmark selection consumes no RNG, so both tiers drain the
-  // shared stream identically (journal replay).
-  const bool sparse_obj = use_low_rank(plan.subset.size());
   // Pairwise-cache kernels only depend on per-pair statistics (squared
   // distances; plus categorical mismatch counts for the mixed kernel) that
   // are hyper-parameter independent: compute them once for the subset, then
@@ -303,8 +224,7 @@ void GaussianProcess::execute_refit(const RefitPlan& plan) {
   const bool cached = kernel_->supports_pairwise_cache();
   Kernel::PairwiseStats stats;
   linalg::Vector ys_subset;
-  Landmarks lm;
-  if (sparse_obj || cached) {
+  if (cached) {
     std::vector<linalg::Vector> xs;
     xs.reserve(plan.subset.size());
     ys_subset.reserve(plan.subset.size());
@@ -312,14 +232,9 @@ void GaussianProcess::execute_refit(const RefitPlan& plan) {
       xs.push_back(xs_[i]);
       ys_subset.push_back(ys_std_[i]);
     }
-    if (sparse_obj) {
-      lm = select_landmarks(xs, low_rank_.num_inducing);
-    } else {
-      stats = kernel_->pairwise_stats(xs);
-    }
+    stats = kernel_->pairwise_stats(xs);
   }
   auto objective = [&](const linalg::Vector& p) {
-    if (sparse_obj) return nll_low_rank(p, lm, ys_subset);
     return cached ? nll_from_cache(p, stats, ys_subset)
                   : nll_for(p, plan.subset);
   };
@@ -327,42 +242,19 @@ void GaussianProcess::execute_refit(const RefitPlan& plan) {
   linalg::NelderMeadOptions nm;
   nm.max_evals = options.max_evals;
   nm.initial_step = 0.7;
-  if (options.nm_f_tolerance > 0.0) nm.f_tolerance = options.nm_f_tolerance;
-
-  // Small subsets run the restarts serially: same bits (ordered winner
-  // scan), less fork/join overhead than the work is worth.
-  const bool parallel =
-      options.parallel_restarts &&
-      plan.subset.size() >= options.parallel_restart_min_points;
-  const MultiStartResult best = minimize_multistart(
-      objective, plan.current, plan.starts, nm, parallel);
+  const MultiStartResult best =
+      minimize_multistart(objective, plan.current, plan.starts, nm);
 
   if (std::isfinite(best.f)) {
     linalg::Vector kp(best.x.begin(), best.x.end() - 1);
     kernel_->set_hyperparameters(kp);
     noise_variance_ =
         std::max(options.min_noise_variance, std::exp(best.x.back()));
-    last_optimum_ = best.x;
   }
-  // Re-standardize with the new hyper-parameters — skipped under warm
-  // starts when the targets are byte-identical to the previous refit's
-  // (appends between refits standardize against frozen stats, so unchanged
-  // targets mean ys_std_ is already exactly what this loop would produce).
-  const std::uint64_t digest =
-      options.warm_start ? data_digest(ys_raw_) : 0;
-  if (!options.warm_start || !last_y_digest_ || *last_y_digest_ != digest) {
-    y_mean_ = common::mean(ys_raw_);
-    y_sd_ = std::max(1e-12, common::stddev(ys_raw_));
-    for (std::size_t i = 0; i < ys_raw_.size(); ++i) {
-      ys_std_[i] = (ys_raw_[i] - y_mean_) / y_sd_;
-    }
-  }
-  if (options.warm_start) {
-    last_y_digest_ = digest;
-  } else {
-    last_y_digest_.reset();
-  }
-  rebuild_posterior();
+  // Re-standardize over every target: appends since the last fit were
+  // standardized against its frozen stats.
+  standardize();
+  factorize();
 }
 
 void GaussianProcess::optimize_hyperparameters(common::Rng& rng,
@@ -371,11 +263,6 @@ void GaussianProcess::optimize_hyperparameters(common::Rng& rng,
 }
 
 Prediction GaussianProcess::predict(const linalg::Vector& x) const {
-  if (sparse_) {
-    linalg::Vector means, vars;
-    sparse_->predict_batch(*kernel_, {x}, y_mean_, y_sd_, 0.0, means, vars);
-    return {means[0], vars[0]};
-  }
   if (!chol_) throw std::runtime_error("GaussianProcess: not fitted");
   linalg::Vector k_star(xs_.size());
   for (std::size_t i = 0; i < xs_.size(); ++i) {
@@ -393,12 +280,6 @@ void GaussianProcess::predict_batch(const std::vector<linalg::Vector>& xs,
                                     linalg::Vector& means,
                                     linalg::Vector& variances,
                                     bool include_noise) const {
-  if (sparse_) {
-    sparse_->predict_batch(*kernel_, xs, y_mean_, y_sd_,
-                           include_noise ? noise_variance_ : 0.0, means,
-                           variances);
-    return;
-  }
   if (!chol_) throw std::runtime_error("GaussianProcess: not fitted");
   const std::size_t m = xs.size();
   const std::size_t n = xs_.size();

@@ -29,7 +29,6 @@
 
 #include "common/rng.hpp"
 #include "gp/kernel.hpp"
-#include "gp/sparse.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace ppat::gp {
@@ -45,33 +44,6 @@ struct FitOptions {
   std::size_t max_evals = 80;        ///< NLL evaluations per start
   std::size_t max_points = 300;      ///< subsample cap for the NLL objective
   double min_noise_variance = 1e-6;  ///< lower clamp on fitted noise
-  /// Early-stop tolerance on the Nelder-Mead simplex NLL spread. 0 (the
-  /// default) keeps the optimizer's built-in tolerance — bit-identical
-  /// legacy behavior; a positive value overrides it. Pairs well with
-  /// warm_start: a converged incumbent collapses the simplex within a few
-  /// evaluations instead of spending the whole budget.
-  double nm_f_tolerance = 0.0;
-  /// Run the multi-start Nelder-Mead searches of one refit concurrently on
-  /// the global thread pool. Each start is an independent search with
-  /// arithmetic identical to the serial loop, and the winner is chosen by
-  /// the same ordered scan, so the fitted hyper-parameters are bit-identical
-  /// for any thread count (see gp/refit.hpp). Off switch exists so
-  /// bench_surrogate_scaling can time serial vs parallel honestly.
-  bool parallel_restarts = true;
-  /// Run the restarts serially anyway when the NLL subset is smaller than
-  /// this: per-evaluation Cholesky work below ~this size is too cheap to
-  /// amortize the fork/join round trips, and the parallel path measured
-  /// SLOWER than serial at n = 384 on the reference machine. Results are
-  /// bit-identical either way (same ordered winner scan), so this is purely
-  /// a perf knob. 0 parallelizes at any size.
-  std::size_t parallel_restart_min_points = 512;
-  /// Seed starts[0] from the previous refit's optimum (instead of the
-  /// log/exp round-trip of the current hyper-parameters) and skip
-  /// re-standardization when the training targets are byte-identical to the
-  /// previous refit's. RNG consumption is the same either way, so toggling
-  /// this mid-run never shifts the shared stream. Off by default: the
-  /// seeded path is not bit-identical to the legacy refit.
-  bool warm_start = false;
 };
 
 /// Exact GP regressor with Gaussian observation noise.
@@ -79,8 +51,7 @@ class GaussianProcess {
  public:
   /// The randomness of one hyper-parameter refit, drawn up front: the NLL
   /// subsample and one Nelder-Mead start point per restart (starts[0] is the
-  /// current hyper-parameter vector, or the previous optimum under
-  /// FitOptions::warm_start). Consuming this plan is deterministic.
+  /// current hyper-parameter vector). Consuming this plan is deterministic.
   struct RefitPlan {
     std::vector<std::size_t> subset;
     linalg::Vector current;              ///< incumbent [kernel..., log noise]
@@ -143,19 +114,6 @@ class GaussianProcess {
   /// either way.
   void set_tiled_prediction(bool enabled) { tiled_prediction_ = enabled; }
 
-  /// Configures the scalable low-rank tier (gp/sparse.hpp). The tier is
-  /// consulted at fit/refit boundaries only: when enabled, the kernel is
-  /// isotropic, and the point (or NLL-subset) count exceeds the switchover,
-  /// the posterior and refit objective run through the DTC approximation
-  /// instead of the exact O(n^3) factorization. Appends never switch tier.
-  /// Takes effect at the next fit or refit.
-  void set_low_rank(const LowRankOptions& options) { low_rank_ = options; }
-  const LowRankOptions& low_rank_options() const { return low_rank_; }
-  /// True when the posterior is currently served by the low-rank tier (the
-  /// exact factor() / alpha() internals are unavailable then; see
-  /// tuner::PlainGpSurrogate for the PosteriorCache bypass).
-  bool low_rank_active() const { return sparse_.has_value(); }
-
   // ---- Posterior internals for gp::PosteriorCache ----
   // A cached whitened solve v = L^-1 k_star stays valid as long as no full
   // re-factorization happened; rank-1 appends only add rows to L, so cached
@@ -180,11 +138,9 @@ class GaussianProcess {
   }
 
  private:
+  /// Recomputes the output mean/sd from all raw targets and rewrites ys_std_.
+  void standardize();
   void factorize();
-  /// Exact factorize or sparse build, chosen by the low-rank switchover.
-  void rebuild_posterior();
-  void build_sparse();
-  bool use_low_rank(std::size_t n) const;
   /// Rank-1 factor extension for the point just appended to xs_; returns
   /// false when a full re-factorization is required (jitter in play or lost
   /// positive definiteness).
@@ -194,13 +150,10 @@ class GaussianProcess {
   double nll_from_cache(const linalg::Vector& log_params,
                         const Kernel::PairwiseStats& stats,
                         const linalg::Vector& ys_subset) const;
-  double nll_low_rank(const linalg::Vector& log_params, const Landmarks& lm,
-                      const linalg::Vector& ys_subset) const;
 
   std::unique_ptr<Kernel> kernel_;
   double noise_variance_;
   bool tiled_prediction_ = true;
-  LowRankOptions low_rank_;
   std::uint64_t posterior_epoch_ = 0;
 
   std::vector<linalg::Vector> xs_;
@@ -211,12 +164,6 @@ class GaussianProcess {
 
   std::optional<linalg::CholeskyFactor> chol_;
   linalg::Vector alpha_;  // (K + s2 I)^-1 y_std
-  std::optional<SparsePosterior> sparse_;  // low-rank tier, when active
-
-  // Warm-start state: the last refit's winning log-space optimum and the
-  // digest of the targets it standardized against.
-  std::optional<linalg::Vector> last_optimum_;
-  std::optional<std::uint64_t> last_y_digest_;
 };
 
 }  // namespace ppat::gp

@@ -171,7 +171,7 @@ class ArdSquaredExponentialKernel final : public Kernel {
 ///
 /// Hyper-parameters (log-space): [log l_cont, log l_cat, log s2].
 /// Not a function of Euclidean distance alone (supports_sqdist() == false),
-/// so the low-rank tier is out — but the kernel IS a function of the
+/// but it IS a function of the
 /// hyper-parameter-independent pair (continuous sqdist, categorical
 /// mismatch count), so the refit hot path caches both once per subset via
 /// the pairwise-stats tier (supports_pairwise_cache() == true) and each NLL

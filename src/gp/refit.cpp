@@ -1,9 +1,6 @@
 #include "gp/refit.hpp"
 
 #include <algorithm>
-#include <cstring>
-
-#include "common/parallel.hpp"
 
 namespace ppat::gp {
 
@@ -22,12 +19,11 @@ std::vector<std::size_t> refit_subset(common::Rng& rng, std::size_t total,
 
 std::vector<linalg::Vector> refit_starts(common::Rng& rng,
                                          const linalg::Vector& current,
-                                         const linalg::Vector& first,
                                          std::size_t restarts) {
   std::vector<linalg::Vector> starts;
   starts.reserve(restarts);
   for (std::size_t s = 0; s < restarts; ++s) {
-    linalg::Vector x0 = s == 0 ? first : current;
+    linalg::Vector x0 = current;
     if (s > 0) {
       for (double& v : x0) v += rng.normal(0.0, 1.0);
     }
@@ -39,49 +35,18 @@ std::vector<linalg::Vector> refit_starts(common::Rng& rng,
 MultiStartResult minimize_multistart(
     const std::function<double(const linalg::Vector&)>& objective,
     const linalg::Vector& current, const std::vector<linalg::Vector>& starts,
-    const linalg::NelderMeadOptions& nm, bool parallel) {
-  std::vector<linalg::NelderMeadResult> results(starts.size());
-  double incumbent_f = std::numeric_limits<double>::infinity();
-  if (parallel) {
-    common::TaskGroup group;
-    group.run([&] { incumbent_f = objective(current); });
-    for (std::size_t s = 0; s < starts.size(); ++s) {
-      group.run([&, s] { results[s] = linalg::nelder_mead(objective, starts[s], nm); });
-    }
-    group.wait();
-  } else {
-    incumbent_f = objective(current);
-    for (std::size_t s = 0; s < starts.size(); ++s) {
-      results[s] = linalg::nelder_mead(objective, starts[s], nm);
-    }
-  }
-  // Ordered winner scan — incumbent first, then plan order, strict < — is
-  // what makes the parallel fan-out bit-identical to the serial loop.
-  MultiStartResult best{current, incumbent_f};
-  for (const auto& r : results) {
+    const linalg::NelderMeadOptions& nm) {
+  // Ordered winner scan: incumbent first, then plan order, strict <.
+  MultiStartResult best{current, objective(current)};
+  for (const auto& start : starts) {
+    const linalg::NelderMeadResult r =
+        linalg::nelder_mead(objective, start, nm);
     if (r.f < best.f) {
       best.f = r.f;
       best.x = r.x;
     }
   }
   return best;
-}
-
-std::uint64_t data_digest(std::span<const double> values, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (double v : values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  // Fold in the count so appending points with equal bytes still changes
-  // the digest.
-  h ^= static_cast<std::uint64_t>(values.size());
-  h *= 1099511628211ull;
-  return h;
 }
 
 }  // namespace ppat::gp

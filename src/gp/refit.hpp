@@ -2,26 +2,18 @@
 //
 // Both models split a hyper-parameter refit into prepare (serial RNG draws:
 // the NLL subsample and one perturbed start per restart) and execute (the
-// deterministic search). The two implementations had drifted into
-// near-identical copies; these helpers are the single source of truth for
+// deterministic search). These helpers are the single source of truth for
 //   * the subsample draw,
-//   * the multi-start origin list (including warm-start seeding), and
-//   * the multi-start Nelder-Mead minimization itself, serial or parallel.
+//   * the multi-start origin list, and
+//   * the multi-start Nelder-Mead minimization itself.
 //
-// Determinism contract for the parallel path: every start's search is an
-// independent pure function of (objective, start, options) — identical
-// arithmetic to the serial loop — and the winner is chosen by one ordered
-// scan (incumbent first, then starts in plan order, strict <). The scan sees
-// the same candidate values in the same order whether the searches ran on 1
-// or 16 threads, so the selected optimum is bit-identical for any thread
-// count and for serial-vs-parallel. Journal replay (DESIGN.md §11) depends
-// on this.
+// The winner is chosen by one ordered scan (incumbent first, then starts in
+// plan order, strict <), so the fitted hyper-parameters are a pure function
+// of (objective, plan). Journal replay (DESIGN.md §11) depends on this.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,14 +30,11 @@ namespace ppat::gp {
 std::vector<std::size_t> refit_subset(common::Rng& rng, std::size_t total,
                                       std::size_t cap, bool sorted);
 
-/// Builds the multi-start origin list: starts[0] is `first` (the incumbent
-/// hyper-parameters, or the previous optimum under warm starts); each later
-/// start is `current` plus one N(0, 1) draw per coordinate. RNG consumption
-/// depends only on `restarts` and the dimension — never on `first` — so
-/// toggling warm starts mid-run cannot shift the shared stream.
+/// Builds the multi-start origin list: starts[0] is `current` (the incumbent
+/// hyper-parameters); each later start is `current` plus one N(0, 1) draw
+/// per coordinate.
 std::vector<linalg::Vector> refit_starts(common::Rng& rng,
                                          const linalg::Vector& current,
-                                         const linalg::Vector& first,
                                          std::size_t restarts);
 
 struct MultiStartResult {
@@ -53,20 +42,11 @@ struct MultiStartResult {
   double f = std::numeric_limits<double>::infinity();
 };
 
-/// Minimizes `objective` from every start, keeping the incumbent `current`
-/// as the value to beat. With `parallel` the searches fan out as one task
-/// each on the global thread pool (the objective must be thread-safe);
-/// otherwise they run as the classic serial loop. Same winner either way —
-/// see the determinism contract above.
+/// Minimizes `objective` from every start in order, keeping the incumbent
+/// `current` as the value to beat.
 MultiStartResult minimize_multistart(
     const std::function<double(const linalg::Vector&)>& objective,
     const linalg::Vector& current, const std::vector<linalg::Vector>& starts,
-    const linalg::NelderMeadOptions& nm, bool parallel);
-
-/// FNV-1a over the raw bytes of `values`, chained from `seed`. Warm-started
-/// refits use this as the data digest: re-standardization is skipped only
-/// when the target vector is byte-identical to the previous refit's.
-std::uint64_t data_digest(std::span<const double> values,
-                          std::uint64_t seed = 1469598103934665603ull);
+    const linalg::NelderMeadOptions& nm);
 
 }  // namespace ppat::gp

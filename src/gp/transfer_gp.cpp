@@ -102,42 +102,7 @@ void TransferGaussianProcess::fit(std::vector<linalg::Vector> source_xs,
   target_xs_ = std::move(target_xs);
   target_ys_raw_ = std::move(target_ys);
   restandardize();
-  rebuild_posterior();
-}
-
-bool TransferGaussianProcess::use_low_rank(std::size_t n) const {
-  return low_rank_.enabled && kernel_->supports_sqdist() &&
-         n > low_rank_.switchover;
-}
-
-void TransferGaussianProcess::rebuild_posterior() {
-  if (use_low_rank(source_xs_.size() + target_xs_.size())) {
-    build_sparse();
-  } else {
-    factorize();
-  }
-}
-
-void TransferGaussianProcess::build_sparse() {
-  // Joint point list, source block first — the same ordering as the exact
-  // joint system, so per-task noise and rho scaling key off the index.
-  std::vector<linalg::Vector> joint;
-  joint.reserve(source_xs_.size() + target_xs_.size());
-  joint.insert(joint.end(), source_xs_.begin(), source_xs_.end());
-  joint.insert(joint.end(), target_xs_.begin(), target_xs_.end());
-  auto sp = SparsePosterior::build(*kernel_, joint, ys_std_,
-                                   source_xs_.size(), task_correlation(),
-                                   1.0 / beta_s_, 1.0 / beta_t_,
-                                   low_rank_.num_inducing);
-  if (!sp) {
-    throw std::runtime_error(
-        "TransferGaussianProcess: low-rank joint system not positive "
-        "definite");
-  }
-  sparse_ = std::move(*sp);
-  chol_.reset();
-  alpha_.clear();
-  ++posterior_epoch_;
+  factorize();
 }
 
 void TransferGaussianProcess::restandardize() {
@@ -171,18 +136,12 @@ void TransferGaussianProcess::factorize() {
   }
   chol_ = std::move(chol);
   alpha_ = chol_->solve(ys_std_);
-  sparse_.reset();
   // Full re-factorizations invalidate cached whitened posterior solves;
   // rank-1 target appends (try_append_to_factor) do not.
   ++posterior_epoch_;
 }
 
 const linalg::CholeskyFactor& TransferGaussianProcess::factor() const {
-  if (sparse_) {
-    throw std::runtime_error(
-        "TransferGaussianProcess: exact factor unavailable on the low-rank "
-        "tier");
-  }
   if (!chol_) throw std::runtime_error("TransferGaussianProcess: not fitted");
   return *chol_;
 }
@@ -223,7 +182,7 @@ bool TransferGaussianProcess::try_append_to_factor(const linalg::Vector& x) {
 
 void TransferGaussianProcess::add_target_observation(const linalg::Vector& x,
                                                      double y) {
-  if (!chol_ && !sparse_) {
+  if (!chol_) {
     throw std::runtime_error("TransferGaussianProcess: fit before adding");
   }
   target_xs_.push_back(x);
@@ -231,12 +190,6 @@ void TransferGaussianProcess::add_target_observation(const linalg::Vector& x,
   // Standardization is frozen between refits (same reasoning as the plain
   // GP): the new point is standardized with the current target stats.
   ys_std_.push_back((y - tgt_mean_) / tgt_sd_);
-  if (sparse_) {
-    if (!sparse_->append(*kernel_, x, ys_std_.back(), 1.0 / beta_t_)) {
-      build_sparse();
-    }
-    return;
-  }
   if (try_append_to_factor(x)) {
     alpha_ = chol_->solve(ys_std_);
   } else {
@@ -246,7 +199,7 @@ void TransferGaussianProcess::add_target_observation(const linalg::Vector& x,
 
 void TransferGaussianProcess::add_target_observation_batch(
     const std::vector<linalg::Vector>& xs, const linalg::Vector& ys) {
-  if (!chol_ && !sparse_) {
+  if (!chol_) {
     throw std::runtime_error("TransferGaussianProcess: fit before adding");
   }
   if (xs.size() != ys.size()) {
@@ -254,17 +207,6 @@ void TransferGaussianProcess::add_target_observation_batch(
         "TransferGaussianProcess::add_target_observation_batch");
   }
   if (xs.empty()) return;
-  if (sparse_) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      target_xs_.push_back(xs[i]);
-      target_ys_raw_.push_back(ys[i]);
-      ys_std_.push_back((ys[i] - tgt_mean_) / tgt_sd_);
-      if (!sparse_->append(*kernel_, xs[i], ys_std_.back(), 1.0 / beta_t_)) {
-        build_sparse();
-      }
-    }
-    return;
-  }
   bool appended = true;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     target_xs_.push_back(xs[i]);
@@ -280,7 +222,6 @@ void TransferGaussianProcess::add_target_observation_batch(
 }
 
 double TransferGaussianProcess::log_marginal_likelihood() const {
-  if (sparse_) return sparse_->log_marginal();
   if (!chol_) throw std::runtime_error("TransferGaussianProcess: not fitted");
   const double n = static_cast<double>(ys_std_.size());
   return -0.5 * linalg::dot(ys_std_, alpha_) - 0.5 * chol_->log_det() -
@@ -358,30 +299,9 @@ double TransferGaussianProcess::joint_nll_from_cache(
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }
 
-double TransferGaussianProcess::joint_nll_low_rank(
-    const linalg::Vector& log_params, const Landmarks& lm, std::size_t n_src,
-    const linalg::Vector& ys_subset) const {
-  for (double p : log_params) {
-    if (!std::isfinite(p) || std::fabs(p) > 12.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  const std::size_t kdim = kernel_->num_hyperparameters();
-  auto k = kernel_->clone();
-  linalg::Vector kp(log_params.begin(),
-                    log_params.begin() + static_cast<std::ptrdiff_t>(kdim));
-  k->set_hyperparameters(kp);
-  const double a = std::exp(log_params[kdim]);
-  const double b = std::exp(log_params[kdim + 1]);
-  const double src_noise = std::exp(log_params[kdim + 2]);
-  const double tgt_noise = std::exp(log_params[kdim + 3]);
-  return low_rank_nll(*k, lm, ys_subset, n_src, rho_from(a, b), src_noise,
-                      tgt_noise);
-}
-
 TransferGaussianProcess::RefitPlan TransferGaussianProcess::prepare_refit(
     common::Rng& rng, const TransferFitOptions& options) const {
-  if (!chol_ && !sparse_) {
+  if (!chol_) {
     throw std::runtime_error("TransferGaussianProcess: not fitted");
   }
 
@@ -399,26 +319,13 @@ TransferGaussianProcess::RefitPlan TransferGaussianProcess::prepare_refit(
   plan.current.push_back(std::log(gamma_b_));
   plan.current.push_back(std::log(1.0 / beta_s_));
   plan.current.push_back(std::log(1.0 / beta_t_));
-
-  const linalg::Vector* first = &plan.current;
-  if (options.warm_start && last_optimum_ &&
-      last_optimum_->size() == plan.current.size()) {
-    first = &*last_optimum_;
-  }
-  plan.starts = refit_starts(rng, plan.current, *first, options.restarts);
+  plan.starts = refit_starts(rng, plan.current, options.restarts);
   return plan;
 }
 
 void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
   const TransferFitOptions& options = plan.options;
 
-  // Objective tier (see GaussianProcess::execute_refit): above the
-  // switchover the joint-subset NLL runs through the DTC approximation with
-  // farthest-point landmarks drawn from both blocks. No RNG is consumed by
-  // the selection, so both tiers drain the shared stream identically.
-  const std::size_t subset_total =
-      plan.src_subset.size() + plan.tgt_subset.size();
-  const bool sparse_obj = use_low_rank(subset_total);
   // Pairwise cache over the joint subset (source rows first): squared
   // distances (and categorical mismatch counts, for the mixed kernel) are
   // hyper-parameter independent, so each NLL evaluation only re-applies the
@@ -426,8 +333,9 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
   const bool cached = kernel_->supports_pairwise_cache();
   Kernel::PairwiseStats stats;
   linalg::Vector ys_subset;
-  Landmarks lm;
-  if (sparse_obj || cached) {
+  if (cached) {
+    const std::size_t subset_total =
+        plan.src_subset.size() + plan.tgt_subset.size();
     std::vector<linalg::Vector> pts;
     pts.reserve(subset_total);
     ys_subset.reserve(subset_total);
@@ -439,16 +347,9 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
       pts.push_back(target_xs_[i]);
       ys_subset.push_back(ys_std_[source_xs_.size() + i]);
     }
-    if (sparse_obj) {
-      lm = select_landmarks(pts, low_rank_.num_inducing);
-    } else {
-      stats = kernel_->pairwise_stats(pts);
-    }
+    stats = kernel_->pairwise_stats(pts);
   }
   auto objective = [&](const linalg::Vector& p) {
-    if (sparse_obj) {
-      return joint_nll_low_rank(p, lm, plan.src_subset.size(), ys_subset);
-    }
     return cached ? joint_nll_from_cache(p, stats, plan.src_subset.size(),
                                          ys_subset)
                   : joint_nll(p, plan.src_subset, plan.tgt_subset);
@@ -457,15 +358,8 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
   linalg::NelderMeadOptions nm;
   nm.max_evals = options.max_evals;
   nm.initial_step = 0.7;
-  if (options.nm_f_tolerance > 0.0) nm.f_tolerance = options.nm_f_tolerance;
-
-  // Small joint subsets run the restarts serially: same bits (ordered
-  // winner scan), less fork/join overhead than the work is worth.
-  const bool parallel =
-      options.parallel_restarts &&
-      subset_total >= options.parallel_restart_min_points;
-  const MultiStartResult best = minimize_multistart(
-      objective, plan.current, plan.starts, nm, parallel);
+  const MultiStartResult best =
+      minimize_multistart(objective, plan.current, plan.starts, nm);
 
   if (std::isfinite(best.f)) {
     const std::size_t kdim = kernel_->num_hyperparameters();
@@ -478,25 +372,9 @@ void TransferGaussianProcess::execute_refit(const RefitPlan& plan) {
                              std::exp(best.x[kdim + 2]));
     beta_t_ = 1.0 / std::max(options.min_noise_variance,
                              std::exp(best.x[kdim + 3]));
-    last_optimum_ = best.x;
   }
-  // Re-standardization is skipped under warm starts when both tasks'
-  // targets are byte-identical to the previous refit's (appends between
-  // refits standardize against frozen stats, so unchanged targets mean
-  // ys_std_ already holds exactly what restandardize would produce).
-  const std::uint64_t digest =
-      options.warm_start
-          ? data_digest(target_ys_raw_, data_digest(source_ys_raw_))
-          : 0;
-  if (!options.warm_start || !last_y_digest_ || *last_y_digest_ != digest) {
-    restandardize();
-  }
-  if (options.warm_start) {
-    last_y_digest_ = digest;
-  } else {
-    last_y_digest_.reset();
-  }
-  rebuild_posterior();
+  restandardize();
+  factorize();
 }
 
 void TransferGaussianProcess::optimize_hyperparameters(
@@ -513,11 +391,6 @@ Prediction TransferGaussianProcess::predict(const linalg::Vector& x) const {
 void TransferGaussianProcess::predict_batch(
     const std::vector<linalg::Vector>& xs, linalg::Vector& means,
     linalg::Vector& variances) const {
-  if (sparse_) {
-    sparse_->predict_batch(*kernel_, xs, tgt_mean_, tgt_sd_, 0.0, means,
-                           variances);
-    return;
-  }
   if (!chol_) throw std::runtime_error("TransferGaussianProcess: not fitted");
   const std::size_t m = xs.size();
   means.resize(m);

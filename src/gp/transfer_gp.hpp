@@ -33,7 +33,6 @@
 #include "common/rng.hpp"
 #include "gp/gp.hpp"
 #include "gp/kernel.hpp"
-#include "gp/sparse.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace ppat::gp {
@@ -44,20 +43,6 @@ struct TransferFitOptions {
   std::size_t max_source_points = 200;  ///< subsample cap for the objective
   std::size_t max_target_points = 200;
   double min_noise_variance = 1e-6;
-  /// Nelder-Mead simplex NLL-spread early stop; 0 (default) keeps the
-  /// optimizer default — bit-identical legacy behavior (see
-  /// FitOptions::nm_f_tolerance).
-  double nm_f_tolerance = 0.0;
-  /// Concurrent multi-start searches with a deterministic winner scan (see
-  /// FitOptions::parallel_restarts; bit-identical for any thread count).
-  bool parallel_restarts = true;
-  /// Serial restarts below this many joint-subset points (see
-  /// FitOptions::parallel_restart_min_points; same bits either way).
-  std::size_t parallel_restart_min_points = 512;
-  /// Seed starts[0] from the previous optimum and skip re-standardization
-  /// when both tasks' targets are byte-unchanged (see FitOptions::warm_start;
-  /// identical RNG consumption, off by default).
-  bool warm_start = false;
 };
 
 /// GP regression on a target task assisted by source-task observations.
@@ -109,15 +94,6 @@ class TransferGaussianProcess {
   /// GaussianProcess::set_tiled_prediction).
   void set_tiled_prediction(bool enabled) { tiled_prediction_ = enabled; }
 
-  /// Configures the scalable low-rank tier over the JOINT system (source
-  /// plus target points; see GaussianProcess::set_low_rank). Landmarks are
-  /// drawn from both blocks by farthest-point sampling and cross-task
-  /// entries carry the learned rho. Takes effect at the next fit or refit.
-  void set_low_rank(const LowRankOptions& options) { low_rank_ = options; }
-  const LowRankOptions& low_rank_options() const { return low_rank_; }
-  /// True when the joint posterior is served by the low-rank tier.
-  bool low_rank_active() const { return sparse_.has_value(); }
-
   // ---- Posterior internals for gp::PosteriorCache ----
   // Same contract as GaussianProcess: the joint factor only grows between
   // full re-factorizations (target appends border the bottom of the joint
@@ -165,9 +141,6 @@ class TransferGaussianProcess {
 
  private:
   void factorize();
-  void rebuild_posterior();
-  void build_sparse();
-  bool use_low_rank(std::size_t n) const;
   void restandardize();
   bool try_append_to_factor(const linalg::Vector& x);
   double joint_nll(const linalg::Vector& log_params,
@@ -177,14 +150,10 @@ class TransferGaussianProcess {
                               const Kernel::PairwiseStats& stats,
                               std::size_t n_src,
                               const linalg::Vector& ys_subset) const;
-  double joint_nll_low_rank(const linalg::Vector& log_params,
-                            const Landmarks& lm, std::size_t n_src,
-                            const linalg::Vector& ys_subset) const;
   static double rho_from(double a, double b);
 
   std::unique_ptr<Kernel> kernel_;
   bool tiled_prediction_ = true;
-  LowRankOptions low_rank_;
   std::uint64_t posterior_epoch_ = 0;
   double gamma_a_ = 0.5;  ///< Gamma scale (paper's a)
   double gamma_b_ = 0.5;  ///< Gamma shape (paper's b)
@@ -199,11 +168,6 @@ class TransferGaussianProcess {
 
   std::optional<linalg::CholeskyFactor> chol_;
   linalg::Vector alpha_;
-  std::optional<SparsePosterior> sparse_;  // low-rank tier, when active
-
-  // Warm-start state (see GaussianProcess).
-  std::optional<linalg::Vector> last_optimum_;
-  std::optional<std::uint64_t> last_y_digest_;
 };
 
 }  // namespace ppat::gp

@@ -30,26 +30,16 @@ std::unique_ptr<gp::Kernel> make_space_kernel(
 
 TransferGpSurrogate::TransferGpSurrogate(
     std::vector<linalg::Vector> source_xs, linalg::Vector source_ys,
-    KernelKind kind, const gp::TransferFitOptions& fit_options,
-    const gp::LowRankOptions& low_rank)
-    : source_xs_(std::move(source_xs)),
-      source_ys_(std::move(source_ys)),
-      fit_options_(fit_options),
-      model_(make_kernel(kind)) {
-  model_.set_low_rank(low_rank);
-}
+    KernelKind kind)
+    : TransferGpSurrogate(std::move(source_xs), std::move(source_ys),
+                          make_kernel(kind)) {}
 
 TransferGpSurrogate::TransferGpSurrogate(
     std::vector<linalg::Vector> source_xs, linalg::Vector source_ys,
-    std::unique_ptr<gp::Kernel> kernel,
-    const gp::TransferFitOptions& fit_options,
-    const gp::LowRankOptions& low_rank)
+    std::unique_ptr<gp::Kernel> kernel)
     : source_xs_(std::move(source_xs)),
       source_ys_(std::move(source_ys)),
-      fit_options_(fit_options),
-      model_(std::move(kernel)) {
-  model_.set_low_rank(low_rank);
-}
+      model_(std::move(kernel)) {}
 
 void TransferGpSurrogate::fit(const std::vector<linalg::Vector>& xs,
                               const linalg::Vector& ys) {
@@ -66,7 +56,7 @@ void TransferGpSurrogate::add_observation_batch(
 }
 
 void TransferGpSurrogate::prepare_refit(common::Rng& rng) {
-  plan_ = model_.prepare_refit(rng, fit_options_);
+  plan_ = model_.prepare_refit(rng);
   has_plan_ = true;
 }
 
@@ -88,29 +78,14 @@ void TransferGpSurrogate::predict_batch_cached(
     const std::vector<std::size_t>& ids,
     const std::vector<linalg::Vector>& xs, linalg::Vector& means,
     linalg::Vector& variances) {
-  // The posterior cache replays whitened solves against the exact Cholesky
-  // factor, which the low-rank tier does not maintain; sparse predictions
-  // are O(m^2) per candidate anyway, so just serve them directly.
-  if (model_.low_rank_active()) {
-    model_.predict_batch(xs, means, variances);
-    return;
-  }
   cache_.predict(model_, ids, xs, means, variances);
 }
 
-PlainGpSurrogate::PlainGpSurrogate(KernelKind kind,
-                                   const gp::FitOptions& fit_options,
-                                   const gp::LowRankOptions& low_rank)
-    : fit_options_(fit_options), model_(make_kernel(kind)) {
-  model_.set_low_rank(low_rank);
-}
+PlainGpSurrogate::PlainGpSurrogate(KernelKind kind)
+    : model_(make_kernel(kind)) {}
 
-PlainGpSurrogate::PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel,
-                                   const gp::FitOptions& fit_options,
-                                   const gp::LowRankOptions& low_rank)
-    : fit_options_(fit_options), model_(std::move(kernel)) {
-  model_.set_low_rank(low_rank);
-}
+PlainGpSurrogate::PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel)
+    : model_(std::move(kernel)) {}
 
 void PlainGpSurrogate::fit(const std::vector<linalg::Vector>& xs,
                            const linalg::Vector& ys) {
@@ -127,7 +102,7 @@ void PlainGpSurrogate::add_observation_batch(
 }
 
 void PlainGpSurrogate::prepare_refit(common::Rng& rng) {
-  plan_ = model_.prepare_refit(rng, fit_options_);
+  plan_ = model_.prepare_refit(rng);
   has_plan_ = true;
 }
 
@@ -149,65 +124,48 @@ void PlainGpSurrogate::predict_batch_cached(
     const std::vector<std::size_t>& ids,
     const std::vector<linalg::Vector>& xs, linalg::Vector& means,
     linalg::Vector& variances) {
-  if (model_.low_rank_active()) {
-    model_.predict_batch(xs, means, variances);
-    return;
-  }
   cache_.predict(model_, ids, xs, means, variances);
 }
 
-SurrogateFactory make_transfer_gp_factory(
-    const SourceData& source, KernelKind kind,
-    const gp::TransferFitOptions& fit_options,
-    const gp::LowRankOptions& low_rank) {
-  return [source, kind, fit_options,
-          low_rank](std::size_t objective_index) -> std::unique_ptr<Surrogate> {
+SurrogateFactory make_transfer_gp_factory(const SourceData& source,
+                                          KernelKind kind) {
+  return [source,
+          kind](std::size_t objective_index) -> std::unique_ptr<Surrogate> {
     return std::make_unique<TransferGpSurrogate>(
-        source.xs, source.ys.at(objective_index), kind, fit_options, low_rank);
+        source.xs, source.ys.at(objective_index), kind);
   };
 }
 
-SurrogateFactory make_plain_gp_factory(KernelKind kind,
-                                       const gp::FitOptions& fit_options,
-                                       const gp::LowRankOptions& low_rank) {
-  return [kind, fit_options, low_rank](std::size_t) -> std::unique_ptr<Surrogate> {
-    return std::make_unique<PlainGpSurrogate>(kind, fit_options, low_rank);
+SurrogateFactory make_plain_gp_factory(KernelKind kind) {
+  return [kind](std::size_t) -> std::unique_ptr<Surrogate> {
+    return std::make_unique<PlainGpSurrogate>(kind);
   };
 }
 
-SurrogateFactory default_gp_factory_for(const flow::ParameterSpace& space,
-                                        const gp::FitOptions& fit_options,
-                                        const gp::LowRankOptions& low_rank) {
+SurrogateFactory default_gp_factory_for(const flow::ParameterSpace& space) {
   if (!space.has_constraints()) {
     // Legacy spaces MUST yield construction-identical surrogates to the
     // plain factory — this branch is what keeps old fingerprints bitwise.
-    return make_plain_gp_factory(KernelKind::kSquaredExponential, fit_options,
-                                 low_rank);
+    return make_plain_gp_factory(KernelKind::kSquaredExponential);
   }
   // The kernel prototype is built once and cloned per objective so every
   // surrogate starts from identical hyper-parameters.
   std::shared_ptr<gp::Kernel> proto = make_space_kernel(space);
-  return [proto, fit_options,
-          low_rank](std::size_t) -> std::unique_ptr<Surrogate> {
-    return std::make_unique<PlainGpSurrogate>(proto->clone(), fit_options,
-                                              low_rank);
+  return [proto](std::size_t) -> std::unique_ptr<Surrogate> {
+    return std::make_unique<PlainGpSurrogate>(proto->clone());
   };
 }
 
 SurrogateFactory default_transfer_gp_factory_for(
-    const flow::ParameterSpace& space, const SourceData& source,
-    const gp::TransferFitOptions& fit_options,
-    const gp::LowRankOptions& low_rank) {
+    const flow::ParameterSpace& space, const SourceData& source) {
   if (!space.has_constraints()) {
-    return make_transfer_gp_factory(source, KernelKind::kSquaredExponential,
-                                    fit_options, low_rank);
+    return make_transfer_gp_factory(source, KernelKind::kSquaredExponential);
   }
   std::shared_ptr<gp::Kernel> proto = make_space_kernel(space);
-  return [source, proto, fit_options,
-          low_rank](std::size_t objective_index) -> std::unique_ptr<Surrogate> {
+  return [source,
+          proto](std::size_t objective_index) -> std::unique_ptr<Surrogate> {
     return std::make_unique<TransferGpSurrogate>(
-        source.xs, source.ys.at(objective_index), proto->clone(), fit_options,
-        low_rank);
+        source.xs, source.ys.at(objective_index), proto->clone());
   };
 }
 

@@ -108,22 +108,16 @@ std::unique_ptr<gp::Kernel> make_space_kernel(const flow::ParameterSpace& space)
 class TransferGpSurrogate final : public Surrogate {
  public:
   /// `source_xs`/`source_ys` are the historical task's encoded configs and
-  /// golden values for this objective. They are copied. `fit_options` is
-  /// used by every refit this surrogate prepares; `low_rank` configures the
-  /// scalable tier (disabled by default — the exact path is the bit-exact
-  /// reference).
+  /// golden values for this objective. They are copied. Refits use the
+  /// default gp::TransferFitOptions.
   TransferGpSurrogate(std::vector<linalg::Vector> source_xs,
                       linalg::Vector source_ys,
-                      KernelKind kind = KernelKind::kSquaredExponential,
-                      const gp::TransferFitOptions& fit_options = {},
-                      const gp::LowRankOptions& low_rank = {});
+                      KernelKind kind = KernelKind::kSquaredExponential);
 
   /// Explicit-kernel variant (mixed-space runs pass a MixedSpaceKernel).
   TransferGpSurrogate(std::vector<linalg::Vector> source_xs,
                       linalg::Vector source_ys,
-                      std::unique_ptr<gp::Kernel> kernel,
-                      const gp::TransferFitOptions& fit_options = {},
-                      const gp::LowRankOptions& low_rank = {});
+                      std::unique_ptr<gp::Kernel> kernel);
 
   void fit(const std::vector<linalg::Vector>& xs,
            const linalg::Vector& ys) override;
@@ -152,25 +146,20 @@ class TransferGpSurrogate final : public Surrogate {
  private:
   std::vector<linalg::Vector> source_xs_;
   linalg::Vector source_ys_;
-  gp::TransferFitOptions fit_options_;
   gp::TransferGaussianProcess model_;
   gp::TransferGaussianProcess::RefitPlan plan_;
   gp::PosteriorCache<gp::TransferGaussianProcess> cache_;
   bool has_plan_ = false;
 };
 
-/// Target-only GP (no transfer).
+/// Target-only GP (no transfer). Refits use the default gp::FitOptions.
 class PlainGpSurrogate final : public Surrogate {
  public:
   explicit PlainGpSurrogate(
-      KernelKind kind = KernelKind::kSquaredExponential,
-      const gp::FitOptions& fit_options = {},
-      const gp::LowRankOptions& low_rank = {});
+      KernelKind kind = KernelKind::kSquaredExponential);
 
   /// Explicit-kernel variant (mixed-space runs pass a MixedSpaceKernel).
-  explicit PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel,
-                            const gp::FitOptions& fit_options = {},
-                            const gp::LowRankOptions& low_rank = {});
+  explicit PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel);
 
   void fit(const std::vector<linalg::Vector>& xs,
            const linalg::Vector& ys) override;
@@ -194,37 +183,26 @@ class PlainGpSurrogate final : public Surrogate {
   }
 
  private:
-  gp::FitOptions fit_options_;
   gp::GaussianProcess model_;
   gp::GaussianProcess::RefitPlan plan_;
   gp::PosteriorCache<gp::GaussianProcess> cache_;
   bool has_plan_ = false;
 };
 
-/// Convenience factories. The fit/low-rank option overloads select the
-/// surrogate tier per run (e.g. the crash-resume harness exercising the
-/// approximate tier); the defaults are byte-compatible with the originals.
+/// Convenience factories.
 SurrogateFactory make_transfer_gp_factory(
     const SourceData& source,
-    KernelKind kind = KernelKind::kSquaredExponential,
-    const gp::TransferFitOptions& fit_options = {},
-    const gp::LowRankOptions& low_rank = {});
+    KernelKind kind = KernelKind::kSquaredExponential);
 SurrogateFactory make_plain_gp_factory(
-    KernelKind kind = KernelKind::kSquaredExponential,
-    const gp::FitOptions& fit_options = {},
-    const gp::LowRankOptions& low_rank = {});
+    KernelKind kind = KernelKind::kSquaredExponential);
 
 /// Space-aware default factories. On a legacy unconstrained space these
 /// return exactly make_plain_gp_factory() / make_transfer_gp_factory(source)
 /// — construction-identical surrogates, so every pre-existing fingerprint is
 /// preserved. On a constrained space the surrogates are built around
 /// make_space_kernel(space) (mixed kernel, direct-NLL fit path).
-SurrogateFactory default_gp_factory_for(
-    const flow::ParameterSpace& space, const gp::FitOptions& fit_options = {},
-    const gp::LowRankOptions& low_rank = {});
+SurrogateFactory default_gp_factory_for(const flow::ParameterSpace& space);
 SurrogateFactory default_transfer_gp_factory_for(
-    const flow::ParameterSpace& space, const SourceData& source,
-    const gp::TransferFitOptions& fit_options = {},
-    const gp::LowRankOptions& low_rank = {});
+    const flow::ParameterSpace& space, const SourceData& source);
 
 }  // namespace ppat::tuner

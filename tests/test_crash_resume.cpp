@@ -148,15 +148,10 @@ std::string fingerprint(const Task& task, const tuner::TuningResult& result) {
 /// Runs the Source2->Target2 tuning once in THIS process. `journal_dir`
 /// empty = no journal (baseline). kill_round > 0: SIGKILL between rounds
 /// when the loop reaches that round. kill_evals >= 0: SIGKILL mid-batch
-/// after that many oracle evaluations. `lowrank` runs the surrogates on the
-/// approximate (DTC) tier with warm-started refits: the joint system (200
-/// source + target points) sits far above the 48-point switchover, so every
-/// fit/refit goes through gp::SparsePosterior — resume must rebuild the
-/// same low-rank state (landmarks consume no RNG; warm-start seeds are
-/// regrown by replaying the refit sequence in order).
+/// after that many oracle evaluations.
 std::string run_task(const Task& task, const std::string& journal_dir,
                      std::size_t licenses, long kill_round, long kill_evals,
-                     std::size_t* rounds_out = nullptr, bool lowrank = false) {
+                     std::size_t* rounds_out = nullptr) {
   BenchmarkLookupOracle oracle(task.target, kill_evals);
   flow::EvalServiceOptions svc;
   svc.licenses = licenses;
@@ -186,19 +181,7 @@ std::string run_task(const Task& task, const std::string& journal_dir,
   }
   const auto source_data = tuner::SourceData::from_benchmark(
       task.source, kObjectives, 200, task_options().seed + 1);
-  tuner::SurrogateFactory factory;
-  if (lowrank) {
-    gp::TransferFitOptions fit_opt;
-    fit_opt.warm_start = true;
-    gp::LowRankOptions lr;
-    lr.enabled = true;
-    lr.switchover = 48;
-    lr.num_inducing = 32;
-    factory = tuner::make_transfer_gp_factory(
-        source_data, tuner::KernelKind::kSquaredExponential, fit_opt, lr);
-  } else {
-    factory = tuner::make_transfer_gp_factory(source_data);
-  }
+  const auto factory = tuner::make_transfer_gp_factory(source_data);
   tuner::PPATunerDiagnostics diag;
   const auto result = tuner::run_ppatuner(pool, factory, opt, &diag);
   if (rounds_out != nullptr) *rounds_out = diag.rounds;
@@ -215,9 +198,8 @@ int child_main(const std::map<std::string, std::string>& args) {
       args.count("--kill-evals") ? std::stol(args.at("--kill-evals")) : -1;
   const auto licenses =
       static_cast<std::size_t>(std::stoul(args.at("--licenses")));
-  const bool lowrank = args.count("--lowrank") != 0;
   const std::string fp = run_task(task, args.at("--journal"), licenses,
-                                  kill_round, kill_evals, nullptr, lowrank);
+                                  kill_round, kill_evals);
   std::ofstream out(args.at("--out"), std::ios::binary | std::ios::trunc);
   out << fp;
   return out.good() ? 0 : 1;
@@ -509,11 +491,10 @@ void corrupt_tail(const std::string& journal_dir) {
 void run_scenario(const std::string& name, const std::string& scratch,
                   const std::string& data_dir, const std::string& baseline,
                   std::size_t licenses, long kill_round, long kill_evals,
-                  bool corrupt, bool lowrank = false,
-                  const char* child_flag = "--child") {
-  std::printf("scenario %s (licenses=%zu kill_round=%ld kill_evals=%ld%s%s)\n",
+                  bool corrupt, const char* child_flag = "--child") {
+  std::printf("scenario %s (licenses=%zu kill_round=%ld kill_evals=%ld%s)\n",
               name.c_str(), licenses, kill_round, kill_evals,
-              corrupt ? " corrupt-tail" : "", lowrank ? " lowrank" : "");
+              corrupt ? " corrupt-tail" : "");
   const std::string dir = scratch + "/" + name + ".journal";
   const std::string out = scratch + "/" + name + ".result";
   fs::remove_all(dir);
@@ -522,10 +503,6 @@ void run_scenario(const std::string& name, const std::string& scratch,
   std::vector<std::string> base_args = {
       child_flag,   "1",   "--data", data_dir, "--journal", dir,
       "--licenses", std::to_string(licenses),  "--out",     out};
-  if (lowrank) {
-    base_args.push_back("--lowrank");
-    base_args.push_back("1");
-  }
 
   auto kill_args = base_args;
   if (kill_round > 0) {
@@ -598,14 +575,14 @@ int hls_orchestrate(const std::map<std::string, std::string>& args) {
   long kill_b = 1 + static_cast<long>(rng.next_below(max_kill));
   if (kill_b == kill_a) kill_b = kill_a == 1 ? 2 : kill_a - 1;
   run_scenario("hls_kill_round_" + std::to_string(kill_a) + "_lic1", scratch,
-               data_dir, baseline, 1, kill_a, -1, false, false, "--hls-child");
+               data_dir, baseline, 1, kill_a, -1, false, "--hls-child");
   run_scenario("hls_kill_round_" + std::to_string(kill_b) + "_lic4", scratch,
-               data_dir, baseline, 4, kill_b, -1, false, false, "--hls-child");
+               data_dir, baseline, 4, kill_b, -1, false, "--hls-child");
   // Mid-batch kill from inside the oracle (torn batch in the journal).
   const long kill_evals =
       11 + static_cast<long>(rng.next_below(4 * (baseline_rounds - 1)));
   run_scenario("hls_kill_midbatch", scratch, data_dir, baseline, 4, 0,
-               kill_evals, false, false, "--hls-child");
+               kill_evals, false, "--hls-child");
 
   if (g_failures == 0) {
     fs::remove_all(scratch);
@@ -760,17 +737,6 @@ int orchestrate(const std::map<std::string, std::string>& args) {
   // must truncate to the last valid record and still converge bitwise.
   run_scenario("corrupt_tail", scratch, data_dir, baseline, 1,
                1 + static_cast<long>(rng.next_below(max_kill)), -1, true);
-
-  // Approximate (low-rank) tier with warm-started refits: the crash-resume
-  // guarantee must hold on the scalable surrogate path too. Its baseline is
-  // its own — the DTC posterior is not bit-identical to the exact tier —
-  // but kill + resume must reproduce it bitwise.
-  std::printf("baseline run (uninterrupted, low-rank tier)...\n");
-  const std::string baseline_lr =
-      run_task(task, "", 1, 0, -1, nullptr, /*lowrank=*/true);
-  run_scenario("kill_lowrank", scratch, data_dir, baseline_lr, 1,
-               1 + static_cast<long>(rng.next_below(max_kill)), -1, false,
-               /*lowrank=*/true);
 
   if (g_failures == 0) {
     fs::remove_all(scratch);

@@ -160,41 +160,6 @@ TEST(GaussianProcess, MixedKernelRefitCacheParityBitwise) {
   EXPECT_EQ(a.noise_variance(), b.noise_variance());
 }
 
-TEST(GaussianProcess, SerialRestartFallbackIsBitIdentical) {
-  // parallel_restart_min_points only changes scheduling: forcing the
-  // parallel path on a small subset must match the (default) serial
-  // fallback bit for bit.
-  common::Rng data(23);
-  std::vector<linalg::Vector> xs;
-  linalg::Vector ys;
-  for (int i = 0; i < 30; ++i) {
-    const double x = data.uniform01();
-    xs.push_back({x});
-    ys.push_back(std::sin(8.0 * x));
-  }
-  FitOptions always_parallel;
-  always_parallel.parallel_restart_min_points = 0;
-  FitOptions gated;  // default threshold: 30 points -> serial
-
-  auto a = make_gp(5.0, 1e-2);
-  a.fit(xs, ys);
-  {
-    common::Rng rng(3);
-    a.optimize_hyperparameters(rng, always_parallel);
-  }
-  auto b = make_gp(5.0, 1e-2);
-  b.fit(xs, ys);
-  {
-    common::Rng rng(3);
-    b.optimize_hyperparameters(rng, gated);
-  }
-  const auto ha = a.kernel().hyperparameters();
-  const auto hb = b.kernel().hyperparameters();
-  ASSERT_EQ(ha.size(), hb.size());
-  for (std::size_t i = 0; i < ha.size(); ++i) EXPECT_EQ(ha[i], hb[i]) << i;
-  EXPECT_EQ(a.noise_variance(), b.noise_variance());
-}
-
 TEST(GaussianProcess, FitRejectsBadInput) {
   auto gp = make_gp();
   EXPECT_THROW(gp.fit({}, {}), std::invalid_argument);

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "hls/systolic.hpp"
 #include "synthetic_benchmark.hpp"
 #include "tuner/ppatuner.hpp"
 
@@ -73,7 +74,15 @@ class FastPathParityTest : public ::testing::Test {
   void expect_golden(const std::vector<std::size_t>& objectives,
                      const SurrogateFactory& factory,
                      const PPATunerOptions& opt, const Golden& want) {
-    BenchmarkCandidatePool pool(&target_, objectives);
+    expect_golden_on(target_, objectives, factory, opt, want);
+  }
+
+  static void expect_golden_on(const flow::BenchmarkSet& target,
+                               const std::vector<std::size_t>& objectives,
+                               const SurrogateFactory& factory,
+                               const PPATunerOptions& opt,
+                               const Golden& want) {
+    BenchmarkCandidatePool pool(&target, objectives);
     PPATunerDiagnostics diag;
     const TuningResult result = run_ppatuner(pool, factory, opt, &diag);
     EXPECT_EQ(result.pareto_indices.size(), want.pareto_count);
@@ -131,6 +140,32 @@ TEST_F(FastPathParityTest, TransferTwoObjectives) {
 TEST_F(FastPathParityTest, PlainGpSurrogates) {
   expect_golden(kPowerDelay, make_plain_gp_factory(), base_options(4),
                 {19, 0xf8a73b1618cf96a1ULL, 35, 0, 6, 381, 19, 0, {}});
+}
+
+TEST_F(FastPathParityTest, MixedKernelTransferSmallToLargeSystolic) {
+  // The HLS pair: constrained mixed spaces route through
+  // default_transfer_gp_factory_for -> MixedSpaceKernel, whose refits take
+  // the joint pairwise-cache NLL (sqdist + categorical mismatch counts).
+  const auto source_bench =
+      hls::build_systolic_benchmark("hls_src", hls::small_gemm(), 200, 33);
+  const auto target_bench =
+      hls::build_systolic_benchmark("hls_tgt", hls::large_gemm(), 150, 34);
+  const auto source =
+      SourceData::from_benchmark(source_bench, kAreaPowerDelay, 120, 7);
+  PPATunerOptions opt;
+  opt.seed = 3;
+  opt.batch_size = 4;
+  opt.min_init = 10;
+  opt.init_fraction = 0.0;
+  opt.refit_every = 2;
+  opt.max_runs = 40;
+  opt.max_rounds = 20;
+  expect_golden_on(target_bench, kAreaPowerDelay,
+                   default_transfer_gp_factory_for(target_bench.space, source),
+                   opt,
+                   {18, 0x67811e2395705198ULL, 40, 0, 8, 47, 1, 102,
+                    {0x3fef114aff4734dcULL, 0x3fefc2a7de827d1aULL,
+                     0x3fefd9632997cec4ULL}});
 }
 
 }  // namespace
