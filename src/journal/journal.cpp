@@ -1,19 +1,13 @@
 #include "journal/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "common/log.hpp"
@@ -23,125 +17,20 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// ---- CRC32 (reflected, poly 0xEDB88320; same as zlib's crc32) ------------
-
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      entries[i] = c;
-    }
-  }
-};
-
-// ---- Little-endian serialization -----------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-/// Bounds-checked payload reader. An underflow inside a CRC-valid record
-/// means a writer bug or format skew, not a torn tail, so it throws.
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(data_ + pos_, n);
-    pos_ += n;
-    return s;
-  }
-  std::vector<double> f64_vec() {
-    const std::uint64_t n = u64();
-    std::vector<double> v(n);
-    for (std::uint64_t i = 0; i < n; ++i) v[i] = f64();
-    return v;
-  }
-  std::vector<std::uint64_t> u64_vec() {
-    const std::uint64_t n = u64();
-    std::vector<std::uint64_t> v(n);
-    for (std::uint64_t i = 0; i < n; ++i) v[i] = u64();
-    return v;
-  }
-  bool done() const { return pos_ == size_; }
-
- private:
-  void need(std::uint64_t n) {
-    if (n > size_ - pos_) {
-      throw JournalError("journal record payload underflow");
-    }
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
 // ---- Segment framing ------------------------------------------------------
 
 constexpr char kMagic[8] = {'P', 'P', 'A', 'T', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 4;  // magic, version, seq
-constexpr std::size_t kFrameBytes = 4 + 4 + 1;          // len, crc, type
-/// Sanity bound on a single record payload; anything larger is corruption.
-constexpr std::uint32_t kMaxPayload = 256u << 20;
+/// Smallest encoding of one RegionSnapshotEntry: id and two empty vectors.
+constexpr std::size_t kMinSnapshotEntryBytes = 3 * 8;
 
 std::string segment_header(std::uint32_t seq) {
-  std::string h(kMagic, sizeof(kMagic));
-  put_u32(h, kVersion);
-  put_u32(h, seq);
-  return h;
+  RecordWriter h;
+  h.bytes(kMagic, sizeof(kMagic));
+  h.u32(kVersion);
+  h.u32(seq);
+  return h.take();
 }
 
 std::string segment_name(std::size_t seq, bool sealed) {
@@ -153,25 +42,24 @@ std::string segment_name(std::size_t seq, bool sealed) {
 // ---- Entry payload encode/decode -----------------------------------------
 
 std::string encode_meta(const RunMeta& m) {
-  std::string p;
-  put_u64(p, m.seed);
-  put_f64(p, m.tau);
-  put_f64(p, m.delta_rel);
-  put_f64(p, m.init_fraction);
-  put_u64(p, m.batch_size);
-  put_u64(p, m.min_init);
-  put_u64(p, m.refit_every);
-  put_u64(p, m.max_runs);
-  put_u64(p, m.max_rounds);
-  put_u64(p, m.pool_size);
-  put_u64(p, m.num_objectives);
-  put_u64(p, m.objectives.size());
-  for (std::uint64_t o : m.objectives) put_u64(p, o);
-  put_u64(p, m.pool_fingerprint);
-  return p;
+  RecordWriter w;
+  w.u64(m.seed);
+  w.f64(m.tau);
+  w.f64(m.delta_rel);
+  w.f64(m.init_fraction);
+  w.u64(m.batch_size);
+  w.u64(m.min_init);
+  w.u64(m.refit_every);
+  w.u64(m.max_runs);
+  w.u64(m.max_rounds);
+  w.u64(m.pool_size);
+  w.u64(m.num_objectives);
+  w.u64_vec(m.objectives);
+  w.u64(m.pool_fingerprint);
+  return w.take();
 }
 
-RunMeta decode_meta(Reader& r) {
+RunMeta decode_meta(RecordReader& r) {
   RunMeta m;
   m.seed = r.u64();
   m.tau = r.f64();
@@ -190,18 +78,17 @@ RunMeta decode_meta(Reader& r) {
 }
 
 std::string encode_reveal(const RevealRecord& rec) {
-  std::string p;
-  put_u64(p, rec.id);
-  put_u8(p, static_cast<std::uint8_t>(rec.status));
-  put_u32(p, rec.attempts);
-  put_f64(p, rec.elapsed_ms);
-  put_u64(p, rec.objectives.size());
-  for (double v : rec.objectives) put_f64(p, v);
-  put_string(p, rec.error);
-  return p;
+  RecordWriter w;
+  w.u64(rec.id);
+  w.u8(static_cast<std::uint8_t>(rec.status));
+  w.u32(rec.attempts);
+  w.f64(rec.elapsed_ms);
+  w.f64_vec(rec.objectives);
+  w.str(rec.error);
+  return w.take();
 }
 
-RevealRecord decode_reveal(Reader& r) {
+RevealRecord decode_reveal(RecordReader& r) {
   RevealRecord rec;
   rec.id = r.u64();
   rec.status = static_cast<RevealStatus>(r.u8());
@@ -212,9 +99,8 @@ RevealRecord decode_reveal(Reader& r) {
   return rec;
 }
 
-JournalEntry decode_entry(std::uint8_t type, const char* payload,
-                          std::size_t len) {
-  Reader r(payload, len);
+JournalEntry decode_entry(std::uint8_t type, std::string_view payload) {
+  RecordReader r(payload.data(), payload.size());
   JournalEntry e;
   e.kind = static_cast<JournalEntry::Kind>(type);
   switch (e.kind) {
@@ -241,8 +127,7 @@ JournalEntry decode_entry(std::uint8_t type, const char* payload,
       e.region_digest = r.u64();
       const std::uint8_t has_snapshot = r.u8();
       if (has_snapshot != 0) {
-        const std::uint64_t count = r.u64();
-        e.snapshot.resize(count);
+        e.snapshot.resize(r.count(kMinSnapshotEntryBytes));
         for (auto& entry : e.snapshot) {
           entry.id = r.u64();
           entry.lo = r.f64_vec();
@@ -329,13 +214,11 @@ ParseResult parse_journal(const std::string& dir) {
   for (std::size_t fi = 0; fi < result.files.size(); ++fi) {
     SegmentFile& seg = result.files[fi];
     if (corrupt) continue;  // discarded: everything after the torn point
-    std::ifstream in(seg.path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> data =
+        FramedLog::read_file(seg.path.string());
+    if (!data) {
       throw JournalError("cannot open journal segment " + seg.path.string());
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string data = ss.str();
     auto truncate_here = [&](std::size_t offset, const std::string& why) {
       corrupt = true;
       result.contents.truncated = true;
@@ -343,8 +226,8 @@ ParseResult parse_journal(const std::string& dir) {
                                         std::to_string(offset) + ": " + why;
       seg.valid_bytes = offset;
     };
-    if (data.size() < kSegmentHeaderBytes ||
-        std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    if (data->size() < kSegmentHeaderBytes ||
+        std::memcmp(data->data(), kMagic, sizeof(kMagic)) != 0) {
       if (fi == 0) {
         throw JournalError("not a PPATuner journal: " + seg.path.string());
       }
@@ -352,7 +235,7 @@ ParseResult parse_journal(const std::string& dir) {
       continue;
     }
     {
-      Reader hr(data.data() + sizeof(kMagic), 8);
+      RecordReader hr(data->data() + sizeof(kMagic), 8);
       const std::uint32_t version = hr.u32();
       const std::uint32_t seq = hr.u32();
       if (version != kVersion) {
@@ -369,41 +252,18 @@ ParseResult parse_journal(const std::string& dir) {
       }
     }
     result.contents.segments += 1;
-    std::size_t pos = kSegmentHeaderBytes;
-    while (pos < data.size()) {
-      if (data.size() - pos < kFrameBytes) {
-        truncate_here(pos, "short record frame");
-        break;
-      }
-      Reader fr(data.data() + pos, kFrameBytes);
-      const std::uint32_t len = fr.u32();
-      const std::uint32_t stored_crc = fr.u32();
-      if (len > kMaxPayload || data.size() - pos - kFrameBytes < len) {
-        truncate_here(pos, "short record payload");
-        break;
-      }
-      // CRC covers type byte + payload, so a bit flip anywhere in the
-      // record body (including its type) is caught.
-      const char* body = data.data() + pos + 8;
-      if (crc32(body, 1 + len) != stored_crc) {
-        truncate_here(pos, "CRC mismatch");
-        break;
-      }
-      result.contents.entries.push_back(
-          decode_entry(static_cast<std::uint8_t>(body[0]), body + 1, len));
-      pos += kFrameBytes + len;
+    const FramedLog::Scan scan = FramedLog::scan(
+        *data, kSegmentHeaderBytes,
+        [&](std::uint8_t kind, std::string_view payload) {
+          result.contents.entries.push_back(decode_entry(kind, payload));
+        });
+    if (scan.torn()) {
+      truncate_here(scan.valid_bytes, scan.note);
+    } else {
+      seg.valid_bytes = scan.valid_bytes;
     }
-    if (!corrupt) seg.valid_bytes = data.size();
   }
   return result;
-}
-
-void fsync_path(const fs::path& p) {
-  const int fd = ::open(p.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 // ---- Graceful shutdown dispatcher ----------------------------------------
@@ -438,16 +298,6 @@ extern "C" void ppat_journal_signal_handler(int) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t len) {
-  static const Crc32Table table;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 const char* reveal_status_name(RevealStatus status) {
   switch (status) {
@@ -484,11 +334,14 @@ RunJournal::RunJournal(std::string dir, JournalOptions options)
 
 RunJournal::~RunJournal() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
-    flush_locked();
-    if (options_.fsync_each_commit) ::fdatasync(fd_);
-    ::close(fd_);
-    fd_ = -1;
+  if (!log_.is_open()) return;
+  try {
+    log_.flush();
+    if (options_.fsync_each_commit) log_.sync();
+  } catch (const JournalError& e) {
+    // A destructor must not throw; the records still buffered (at most the
+    // last round's region record) are lost, everything before is on disk.
+    PPAT_WARN << "journal " << dir_ << ": final flush failed: " << e.what();
   }
 }
 
@@ -541,28 +394,18 @@ void RunJournal::load_for_resume() {
       fs::remove(seg.path, ec);
       continue;
     }
-    std::error_code ec;
-    if (seg.valid_bytes < fs::file_size(seg.path, ec)) {
-      const int fd = ::open(seg.path.c_str(), O_WRONLY);
-      if (fd < 0 ||
-          ::ftruncate(fd, static_cast<off_t>(seg.valid_bytes)) != 0) {
-        if (fd >= 0) ::close(fd);
-        throw JournalError("cannot truncate torn journal segment " +
-                           seg.path.string());
-      }
-      ::fsync(fd);
-      ::close(fd);
-    }
+    FramedLog().open_append(seg.path.string(), seg.valid_bytes);  // cut tail
     if (!seg.sealed) {
       // Seal the surviving tail: its content is now known-valid, and the
       // resumed run appends into a fresh segment.
       fs::path sealed = seg.path.parent_path() / segment_name(seg.seq, true);
+      std::error_code ec;
       fs::rename(seg.path, sealed, ec);
       if (ec) {
         throw JournalError("cannot seal journal segment " + seg.path.string() +
                            ": " + ec.message());
       }
-      fsync_path(seg.path.parent_path());
+      FramedLog::sync_directory(dir_);
     }
     last_seq = std::max(last_seq, seg.seq);
   }
@@ -574,35 +417,14 @@ void RunJournal::load_for_resume() {
 
 void RunJournal::open_segment_locked(std::size_t seq) {
   segment_seq_ = seq;
-  const fs::path path = fs::path(dir_) / segment_name(seq, false);
-  fd_ = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd_ < 0) {
-    throw JournalError("cannot open journal segment " + path.string() + ": " +
-                       std::strerror(errno));
-  }
-  buffer_ = segment_header(static_cast<std::uint32_t>(seq));
-  segment_size_ = buffer_.size();
-}
-
-void RunJournal::flush_locked() {
-  std::size_t off = 0;
-  while (off < buffer_.size()) {
-    const ssize_t n = ::write(fd_, buffer_.data() + off, buffer_.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw JournalError(std::string("journal write failed: ") +
-                         std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  buffer_.clear();
+  log_.create((fs::path(dir_) / segment_name(seq, false)).string(),
+              segment_header(static_cast<std::uint32_t>(seq)));
 }
 
 void RunJournal::rotate_locked() {
-  flush_locked();
-  ::fsync(fd_);
-  ::close(fd_);
-  fd_ = -1;
+  log_.flush();
+  log_.sync();
+  log_.close();
   const fs::path open_path = fs::path(dir_) / segment_name(segment_seq_, false);
   const fs::path sealed_path =
       fs::path(dir_) / segment_name(segment_seq_, true);
@@ -612,24 +434,14 @@ void RunJournal::rotate_locked() {
     throw JournalError("cannot seal journal segment " + open_path.string() +
                        ": " + ec.message());
   }
-  fsync_path(fs::path(dir_));
+  FramedLog::sync_directory(dir_);
   open_segment_locked(segment_seq_ + 1);
 }
 
-void RunJournal::append_entry_bytes(std::uint8_t type,
-                                    const std::string& payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  put_u8(body, type);
-  body.append(payload);
-  std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(body.data(), body.size()));
-  frame.append(body);
-  buffer_.append(frame);
-  segment_size_ += frame.size();
-  if (segment_size_ >= options_.segment_bytes) {
+void RunJournal::append_entry_locked(JournalEntry::Kind kind,
+                                     std::string_view payload) {
+  log_.append(static_cast<std::uint8_t>(kind), payload);
+  if (log_.size() >= options_.segment_bytes) {
     rotate_locked();
   }
 }
@@ -694,9 +506,8 @@ void RunJournal::begin_run(const RunMeta& meta) {
     return;
   }
   ScopedWriteTimer timer(write_seconds_);
-  append_entry_bytes(static_cast<std::uint8_t>(JournalEntry::Kind::kRunHeader),
-                     encode_meta(meta));
-  flush_locked();
+  append_entry_locked(JournalEntry::Kind::kRunHeader, encode_meta(meta));
+  log_.flush();
 }
 
 RunJournal::BatchReplay RunJournal::begin_batch(
@@ -750,14 +561,13 @@ RunJournal::BatchReplay RunJournal::begin_batch(
   // resume needs the selection on disk before any of its reveals, or a
   // crash mid-batch would orphan the per-completion records that follow.
   ScopedWriteTimer timer(write_seconds_);
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(phase));
-  put_u64(p, round);
-  put_u64(p, ids.size());
-  for (std::size_t id : ids) put_u64(p, id);
-  append_entry_bytes(static_cast<std::uint8_t>(JournalEntry::Kind::kSelection),
-                     p);
-  flush_locked();
+  RecordWriter w;
+  w.u8(static_cast<std::uint8_t>(phase));
+  w.u64(round);
+  w.count(ids.size());
+  for (std::size_t id : ids) w.u64(id);
+  append_entry_locked(JournalEntry::Kind::kSelection, w.buf());
+  log_.flush();
   return replay;
 }
 
@@ -766,12 +576,11 @@ void RunJournal::append_reveal(const RevealRecord& record) {
   ScopedWriteTimer timer(write_seconds_);
   if (!batch_open_) return;
   if (!batch_recorded_ids_.insert(record.id).second) return;  // already logged
-  append_entry_bytes(static_cast<std::uint8_t>(JournalEntry::Kind::kReveal),
-                     encode_reveal(record));
+  append_entry_locked(JournalEntry::Kind::kReveal, encode_reveal(record));
   // Write through immediately: the record must reach the fd (page cache is
   // enough to survive SIGKILL/OOM-kill) the moment the run completes, not
   // at the batch commit — each reveal is hours of tool time.
-  flush_locked();
+  log_.flush();
 }
 
 void RunJournal::commit_batch(Phase phase, std::uint64_t round,
@@ -795,15 +604,14 @@ void RunJournal::commit_batch(Phase phase, std::uint64_t round,
     return;
   }
   ScopedWriteTimer timer(write_seconds_);
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(phase));
-  put_u64(p, round);
-  put_u64(p, runs_after);
-  for (std::uint64_t w : rng_state) put_u64(p, w);
-  append_entry_bytes(
-      static_cast<std::uint8_t>(JournalEntry::Kind::kBatchCommit), p);
-  flush_locked();
-  if (options_.fsync_each_commit) ::fdatasync(fd_);
+  RecordWriter w;
+  w.u8(static_cast<std::uint8_t>(phase));
+  w.u64(round);
+  w.u64(runs_after);
+  for (std::uint64_t word : rng_state) w.u64(word);
+  append_entry_locked(JournalEntry::Kind::kBatchCommit, w.buf());
+  log_.flush();
+  if (options_.fsync_each_commit) log_.sync();
 }
 
 void RunJournal::record_regions(
@@ -833,25 +641,22 @@ void RunJournal::record_regions(
   const bool snapshot_due = options_.region_snapshot_every > 0 &&
                             round % options_.region_snapshot_every == 0 &&
                             snapshot;
-  std::string p;
-  put_u64(p, round);
-  put_u64(p, alive_count);
-  put_u64(p, digest);
-  put_u8(p, snapshot_due ? 1 : 0);
+  RecordWriter w;
+  w.u64(round);
+  w.u64(alive_count);
+  w.u64(digest);
+  w.u8(snapshot_due ? 1 : 0);
   if (snapshot_due) {
     const std::vector<RegionSnapshotEntry> entries = snapshot();
-    put_u64(p, entries.size());
+    w.count(entries.size());
     for (const RegionSnapshotEntry& entry : entries) {
-      put_u64(p, entry.id);
-      put_u64(p, entry.lo.size());
-      for (double v : entry.lo) put_f64(p, v);
-      put_u64(p, entry.hi.size());
-      for (double v : entry.hi) put_f64(p, v);
+      w.u64(entry.id);
+      w.f64_vec(entry.lo);
+      w.f64_vec(entry.hi);
     }
     rounds_snapshotted_ += 1;
   }
-  append_entry_bytes(static_cast<std::uint8_t>(JournalEntry::Kind::kRegions),
-                     p);
+  append_entry_locked(JournalEntry::Kind::kRegions, w.buf());
 }
 
 void RunJournal::record_shutdown(ShutdownReason reason, std::uint64_t rounds) {
@@ -863,20 +668,19 @@ void RunJournal::record_shutdown(ShutdownReason reason, std::uint64_t rounds) {
   }
   if (cursor_ < entries_.size()) return;  // still replaying: nothing to write
   ScopedWriteTimer timer(write_seconds_);
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(reason));
-  put_u64(p, rounds);
-  append_entry_bytes(static_cast<std::uint8_t>(JournalEntry::Kind::kShutdown),
-                     p);
-  flush_locked();
-  if (options_.fsync_each_commit) ::fdatasync(fd_);
+  RecordWriter w;
+  w.u8(static_cast<std::uint8_t>(reason));
+  w.u64(rounds);
+  append_entry_locked(JournalEntry::Kind::kShutdown, w.buf());
+  log_.flush();
+  if (options_.fsync_each_commit) log_.sync();
 }
 
 void RunJournal::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   ScopedWriteTimer timer(write_seconds_);
-  flush_locked();
-  if (options_.fsync_each_commit && fd_ >= 0) ::fdatasync(fd_);
+  log_.flush();
+  if (options_.fsync_each_commit && log_.is_open()) log_.sync();
 }
 
 // ---- Graceful shutdown ----------------------------------------------------

@@ -21,17 +21,19 @@
 // DIRECTORY of segment files. The active segment is `NNNNNN.open`; when it
 // grows past JournalOptions::segment_bytes it is fsynced and atomically
 // renamed to `NNNNNN.seg` (rename-on-commit: a sealed segment is either
-// fully present or absent). Records are length-prefixed and CRC32-guarded,
-// so a torn or corrupted tail is DETECTED AND TRUNCATED at the last valid
-// record on resume — never trusted. Every record is written through to the
-// active segment the moment it is appended (the selection when a batch
-// opens, each reveal as its run completes — flow::EvalService's
-// per-completion hook via tuner::LiveCandidatePool — and the commit marker
-// when the batch closes); a plain write() to the page cache survives
-// SIGKILL/OOM-kill, so a killed process loses only runs still in flight,
-// never completed ones. fsync happens once per batch commit
-// (JournalOptions::fsync_each_commit), so only a kernel crash or power
-// loss can drop the un-fsynced tail of one batch.
+// fully present or absent). Each segment is a journal::FramedLog
+// (framed_log.hpp, shared with the RevealLedger): records are
+// length-prefixed and CRC32-guarded, so a torn or corrupted tail is DETECTED
+// AND TRUNCATED at the last valid record on resume — never trusted. Every
+// record is written through to the active segment the moment it is
+// appended (the selection when a batch opens, each reveal as its run
+// completes — flow::EvalService's per-completion hook via
+// tuner::LiveCandidatePool — and the commit marker when the batch closes);
+// a plain write() to the page cache survives SIGKILL/OOM-kill, so a killed
+// process loses only runs still in flight, never completed ones. fsync
+// happens once per batch commit (JournalOptions::fsync_each_commit), so
+// only a kernel crash or power loss can drop the un-fsynced tail of one
+// batch. A failed fsync throws JournalError rather than passing silently.
 #pragma once
 
 #include <array>
@@ -41,19 +43,15 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-namespace ppat::journal {
+#include "journal/framed_log.hpp"
 
-/// Base class for all journal failures (I/O, format, mismatch).
-class JournalError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+namespace ppat::journal {
 
 /// The journal exists and is readable but does not describe the run being
 /// resumed (different seed/options/pool, or replay diverged from the
@@ -136,10 +134,6 @@ inline std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
 }
 std::uint64_t hash_doubles(std::uint64_t h, std::span<const double> values);
-
-/// CRC32 (reflected, poly 0xEDB88320; zlib-compatible). Guards every journal
-/// and ledger record frame against torn writes and bit rot.
-std::uint32_t crc32(const void* data, std::size_t len);
 
 // ---- Parsed journal contents (introspection / tests / tooling) -----------
 
@@ -288,8 +282,7 @@ class RunJournal {
   RunJournal(std::string dir, JournalOptions options);
 
   void load_for_resume();
-  void append_entry_bytes(std::uint8_t type, const std::string& payload);
-  void flush_locked();
+  void append_entry_locked(JournalEntry::Kind kind, std::string_view payload);
   void rotate_locked();
   void open_segment_locked(std::size_t seq);
   const JournalEntry* peek() const;
@@ -309,11 +302,9 @@ class RunJournal {
   std::uint64_t batch_round_ = 0;
   std::unordered_set<std::uint64_t> batch_recorded_ids_;
   std::optional<JournalEntry> pending_commit_;  ///< replayed commit marker
-  // Writer state.
-  int fd_ = -1;
+  // Writer state: the active segment.
+  FramedLog log_;
   std::size_t segment_seq_ = 0;
-  std::size_t segment_size_ = 0;
-  std::string buffer_;
   std::uint64_t rounds_snapshotted_ = 0;
   double write_seconds_ = 0.0;
 };

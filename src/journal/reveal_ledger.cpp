@@ -1,13 +1,6 @@
 #include "journal/reveal_ledger.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <bit>
-#include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/log.hpp"
 
@@ -15,122 +8,32 @@ namespace ppat::journal {
 namespace {
 
 constexpr char kLedgerMagic[8] = {'P', 'P', 'A', 'T', 'L', 'G', 'R', '1'};
-constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kFrameBytes = 8;  // u32 len + u32 crc
-constexpr std::uint32_t kMaxPayload = 16u << 20;
+constexpr std::size_t kHeaderBytes = sizeof(kLedgerMagic);
 constexpr std::uint8_t kKindReveal = 1;
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(data_ + pos_, n);
-    pos_ += n;
-    return s;
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw JournalError("ledger record underflow (writer bug or skew)");
-    }
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
 std::string encode_record(const LedgerRecord& rec) {
-  std::string payload;
-  put_u64(payload, rec.digest);
-  put_u32(payload, rec.attempt);
-  put_u8(payload, static_cast<std::uint8_t>(rec.status));
-  put_u32(payload, rec.attempts);
-  put_f64(payload, rec.elapsed_ms);
-  put_u64(payload, rec.values.size());
-  for (double v : rec.values) put_f64(payload, v);
-  put_u64(payload, rec.error.size());
-  payload.append(rec.error);
-  return payload;
+  RecordWriter w;
+  w.u64(rec.digest);
+  w.u32(rec.attempt);
+  w.u8(static_cast<std::uint8_t>(rec.status));
+  w.u32(rec.attempts);
+  w.f64(rec.elapsed_ms);
+  w.f64_vec(rec.values);
+  w.str(rec.error);
+  return w.take();
 }
 
-LedgerRecord decode_record(const char* data, std::size_t size) {
-  Reader r(data, size);
+LedgerRecord decode_record(std::string_view payload) {
+  RecordReader r(payload.data(), payload.size());
   LedgerRecord rec;
   rec.digest = r.u64();
   rec.attempt = r.u32();
   rec.status = static_cast<RevealStatus>(r.u8());
   rec.attempts = r.u32();
   rec.elapsed_ms = r.f64();
-  const std::uint64_t nv = r.u64();
-  rec.values.resize(nv);
-  for (std::uint64_t i = 0; i < nv; ++i) rec.values[i] = r.f64();
+  rec.values = r.f64_vec();
   rec.error = r.str();
   return rec;
-}
-
-void write_through(int fd, const char* data, std::size_t n,
-                   const std::string& path) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t w = ::write(fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw JournalError("ledger write failed for " + path + ": " +
-                         std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(w);
-  }
 }
 
 }  // namespace
@@ -139,28 +42,13 @@ std::unique_ptr<RevealLedger> RevealLedger::open(const std::string& path) {
   auto ledger = std::unique_ptr<RevealLedger>(new RevealLedger());
   ledger->path_ = path;
 
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      data = ss.str();
-    }
-  }
-
-  std::size_t valid_bytes = 0;
+  const std::string data = FramedLog::read_file(path).value_or("");
   if (data.empty()) {
     // Fresh (or zero-byte after a crash between open and header write):
     // start over with a header.
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-      throw JournalError("cannot create reveal ledger " + path + ": " +
-                         std::strerror(errno));
-    }
-    write_through(fd, kLedgerMagic, sizeof(kLedgerMagic), path);
-    ledger->fd_ = fd;
+    ledger->log_.create(path,
+                        std::string_view(kLedgerMagic, sizeof(kLedgerMagic)));
+    ledger->log_.flush();
     return ledger;
   }
 
@@ -168,63 +56,21 @@ std::unique_ptr<RevealLedger> RevealLedger::open(const std::string& path) {
       std::memcmp(data.data(), kLedgerMagic, sizeof(kLedgerMagic)) != 0) {
     throw JournalError("not a reveal ledger (bad magic): " + path);
   }
-  valid_bytes = kHeaderBytes;
-  std::size_t pos = kHeaderBytes;
-  while (pos < data.size()) {
-    if (data.size() - pos < kFrameBytes) {
-      ledger->truncated_ = true;
-      break;
-    }
-    Reader fr(data.data() + pos, kFrameBytes);
-    const std::uint32_t len = fr.u32();
-    const std::uint32_t stored_crc = fr.u32();
-    if (len > kMaxPayload || data.size() - pos - kFrameBytes < 1 + len) {
-      ledger->truncated_ = true;
-      break;
-    }
-    // CRC covers kind byte + payload, matching journal segment frames.
-    const char* body = data.data() + pos + kFrameBytes;
-    if (crc32(body, 1 + len) != stored_crc) {
-      ledger->truncated_ = true;
-      break;
-    }
-    if (static_cast<std::uint8_t>(body[0]) == kKindReveal) {
-      LedgerRecord rec = decode_record(body + 1, len);
-      ledger->by_digest_[rec.digest] = std::move(rec);
-      ++ledger->loaded_;
-    }
-    pos += kFrameBytes + 1 + len;
-    valid_bytes = pos;
-  }
+  const FramedLog::Scan scan = FramedLog::scan(
+      data, kHeaderBytes, [&](std::uint8_t kind, std::string_view payload) {
+        if (kind != kKindReveal) return;
+        LedgerRecord rec = decode_record(payload);
+        ledger->by_digest_[rec.digest] = std::move(rec);
+        ++ledger->loaded_;
+      });
+  ledger->truncated_ = scan.torn();
   if (ledger->truncated_) {
-    PPAT_WARN << "reveal ledger " << path << ": torn tail truncated at byte "
-              << valid_bytes << " (" << (data.size() - valid_bytes)
-              << " bytes dropped)";
+    PPAT_WARN << "reveal ledger " << path << ": torn tail (" << scan.note
+              << ") truncated at byte " << scan.valid_bytes << " ("
+              << (data.size() - scan.valid_bytes) << " bytes dropped)";
   }
-
-  const int fd = ::open(path.c_str(), O_WRONLY, 0644);
-  if (fd < 0) {
-    throw JournalError("cannot open reveal ledger " + path + ": " +
-                       std::strerror(errno));
-  }
-  if (ledger->truncated_) {
-    if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-      ::close(fd);
-      throw JournalError("cannot truncate torn ledger tail in " + path + ": " +
-                         std::strerror(errno));
-    }
-  }
-  if (::lseek(fd, 0, SEEK_END) < 0) {
-    ::close(fd);
-    throw JournalError("cannot seek reveal ledger " + path + ": " +
-                       std::strerror(errno));
-  }
-  ledger->fd_ = fd;
+  ledger->log_.open_append(path, scan.valid_bytes);
   return ledger;
-}
-
-RevealLedger::~RevealLedger() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 const LedgerRecord* RevealLedger::find(std::uint64_t digest) const {
@@ -233,22 +79,11 @@ const LedgerRecord* RevealLedger::find(std::uint64_t digest) const {
 }
 
 void RevealLedger::append(const LedgerRecord& record) {
-  const std::string payload = encode_record(record);
-  std::string frame;
-  frame.reserve(kFrameBytes + 1 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  std::string body;
-  body.reserve(1 + payload.size());
-  put_u8(body, kKindReveal);
-  body.append(payload);
-  put_u32(frame, crc32(body.data(), body.size()));
-  frame.append(body);
-  write_through(fd_, frame.data(), frame.size(), path_);
+  log_.append(kKindReveal, encode_record(record));
+  log_.flush();
   by_digest_[record.digest] = record;
 }
 
-void RevealLedger::sync() {
-  if (fd_ >= 0) ::fsync(fd_);
-}
+void RevealLedger::sync() { log_.sync(); }
 
 }  // namespace ppat::journal

@@ -3,22 +3,27 @@
 // The coordinator's crash contract is stronger than "resume bit-identically":
 // it must never DOUBLE-SPEND a tool run. Every finalized evaluation outcome
 // is appended here — keyed by the candidate's content digest — the moment it
-// exists, via a plain write() to an O_APPEND fd (page-cache durability: a
+// exists, via a plain write() to the file (page-cache durability: a
 // SIGKILLed coordinator loses only runs still in flight, never completed
 // ones). On resume the coordinator serves any candidate whose digest is
 // already in the ledger straight from the recorded outcome instead of
 // re-dispatching it, so a kill-and-restart cycle costs zero extra tool runs
 // for completed work and at most one retry for work that was in flight.
 //
-// On-disk format: a single append-only file. 8-byte magic "PPATLGR1", then
-// records framed exactly like journal segments:
+// On-disk format: a single append-only file, 8-byte magic "PPATLGR1", then
+// journal::FramedLog frames (framed_log.hpp; the same log under RunJournal
+// segments):
 //
 //   u32 payload_len | u32 crc | u8 kind | payload
 //
-// with the CRC over kind + payload. A torn or corrupt tail is detected and
-// physically truncated at the last valid record on open — the same
-// never-trust-the-tail rule as RunJournal. Duplicate digests load last-wins
-// (append is idempotent per outcome; re-appending after replay is harmless).
+// with the CRC over kind + payload and the payload in the shared record
+// codec (u64 lengths). A torn or corrupt tail is detected and physically
+// truncated at the last valid record on open — the same never-trust-the-tail
+// rule as RunJournal, from the same scanner. Duplicate digests load
+// last-wins (append is idempotent per outcome; re-appending after replay is
+// harmless). The ledger stays its own file rather than a record kind in the
+// run journal: it is keyed by config digest and opened by coordinators that
+// have no RunJournal at all.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +60,6 @@ class RevealLedger {
   /// Throws JournalError on bad magic or I/O failure.
   static std::unique_ptr<RevealLedger> open(const std::string& path);
 
-  ~RevealLedger();
   RevealLedger(const RevealLedger&) = delete;
   RevealLedger& operator=(const RevealLedger&) = delete;
 
@@ -83,7 +87,7 @@ class RevealLedger {
   RevealLedger() = default;
 
   std::string path_;
-  int fd_ = -1;
+  FramedLog log_;
   std::unordered_map<std::uint64_t, LedgerRecord> by_digest_;
   std::size_t loaded_ = 0;
   bool truncated_ = false;

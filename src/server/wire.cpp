@@ -40,87 +40,6 @@ const char* msg_type_name(MsgType type) {
   return "<unknown>";
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Writer::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void Writer::u64_vec(const std::vector<std::uint64_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (std::uint64_t x : v) u64(x);
-}
-
-void Reader::need(std::size_t n) const {
-  if (buf_.size() - pos_ < n) {
-    throw WireError("truncated payload: need " + std::to_string(n) +
-                    " bytes, have " + std::to_string(buf_.size() - pos_));
-  }
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return buf_[pos_++];
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-double Reader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string Reader::str() {
-  const std::uint32_t n = u32();
-  need(n);
-  std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return s;
-}
-
-std::vector<std::uint64_t> Reader::u64_vec() {
-  const std::uint32_t n = u32();
-  need(static_cast<std::size_t>(n) * 8);
-  std::vector<std::uint64_t> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = u64();
-  return v;
-}
-
 namespace {
 
 /// Reads exactly n bytes. Returns false on clean EOF before the first
@@ -166,10 +85,7 @@ std::optional<Frame> read_frame(int fd) {
   if (!read_exact(fd, header + 4, 1)) {
     throw WireError("connection closed mid-frame");
   }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  }
+  const std::uint32_t len = Reader(header, 4).u32();
   if (len > kMaxPayload) {
     throw WireError("frame payload of " + std::to_string(len) +
                     " bytes exceeds the " + std::to_string(kMaxPayload) +
@@ -189,13 +105,12 @@ void write_frame(int fd, MsgType type,
   if (payload.size() > kMaxPayload) {
     throw WireError("refusing to write an oversized frame");
   }
-  std::vector<std::uint8_t> buf;
-  buf.reserve(5 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) buf.push_back((len >> (8 * i)) & 0xff);
-  buf.push_back(static_cast<std::uint8_t>(type));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  write_exact(fd, buf.data(), buf.size());
+  Writer w;
+  w.buf().reserve(5 + payload.size());
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u8(static_cast<std::uint8_t>(type));
+  w.bytes(payload.data(), payload.size());
+  write_exact(fd, w.buf().data(), w.buf().size());
 }
 
 }  // namespace ppat::server::wire

@@ -45,6 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.hpp"
+
 namespace ppat::server::wire {
 
 inline constexpr std::uint32_t kProtocolVersion = 1;
@@ -75,47 +77,18 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Little-endian payload writer.
-class Writer {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
-  void str(const std::string& s);           ///< u32 length + bytes
-  void u64_vec(const std::vector<std::uint64_t>& v);
-
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked payload reader. Throws WireError on truncation.
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::string str();
-  std::vector<std::uint64_t> u64_vec();
-
-  std::size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  void need(std::size_t n) const;
-  const std::vector<std::uint8_t>& buf_;
-  std::size_t pos_ = 0;
-};
-
 /// Malformed frame or payload (protocol violation, truncated field).
 class WireError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Little-endian payload writer (common/byte_codec.hpp); strings and
+/// vectors carry u32 lengths.
+using Writer = common::ByteWriter<std::uint32_t, std::vector<std::uint8_t>>;
+
+/// Bounds-checked payload reader. Throws WireError on truncation.
+using Reader = common::ByteReader<WireError, std::uint32_t>;
 
 /// Blocking full-frame I/O on a connected socket. read_frame returns
 /// nullopt on orderly EOF at a frame boundary and throws WireError on a

@@ -18,8 +18,10 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <thread>
 
 #include "dist/coordinator.hpp"
@@ -672,6 +674,79 @@ TEST(DistributedLedger, TornTailIsTruncatedNotTrusted) {
   EXPECT_FALSE(reopened->truncated());
   EXPECT_EQ(reopened->size(), 2u);
   EXPECT_NE(reopened->find(3), nullptr);
+  std::filesystem::remove(path);
+}
+
+// Format golden: two fixed records must produce this exact file.
+TEST(DistributedLedger, TwoRecordFileMatchesFormatGolden) {
+  const std::string path = std::string(::testing::TempDir()) +
+                           "ledger_golden_" + std::to_string(::getpid()) +
+                           ".bin";
+  std::filesystem::remove(path);
+  {
+    auto ledger = journal::RevealLedger::open(path);
+    journal::LedgerRecord rec;
+    rec.digest = 0x0123456789ABCDEFull;
+    rec.attempt = 2;
+    rec.status = journal::RevealStatus::kOk;
+    rec.attempts = 2;
+    rec.elapsed_ms = 31.5;
+    rec.values = {10.25, 0.5, 1.75};
+    ledger->append(rec);
+    rec.digest = 77;
+    rec.attempt = 1;
+    rec.status = journal::RevealStatus::kTimedOut;
+    rec.attempts = 1;
+    rec.elapsed_ms = 900.0;
+    rec.values.clear();
+    rec.error = "deadline exceeded";
+    ledger->append(rec);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string bytes = ss.str();
+  EXPECT_EQ(bytes.size(), 149u);
+  EXPECT_EQ(journal::crc32(bytes.data(), bytes.size()), 0xF8B217ACu);
+  std::filesystem::remove(path);
+}
+
+TEST(DistributedLedger, OversizedValueCountIsAJournalError) {
+  // A CRC-valid record whose value count (2^62) cannot fit in the payload
+  // must be rejected as corrupt before anything is allocated.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "ledger_hugecount_" + std::to_string(::getpid()) +
+                           ".bin";
+  std::filesystem::remove(path);
+  {
+    auto ledger = journal::RevealLedger::open(path);
+    journal::LedgerRecord rec;
+    rec.digest = 1;
+    rec.status = journal::RevealStatus::kOk;
+    rec.attempts = 1;
+    rec.values = {1.0, 2.0, 3.0};
+    ledger->append(rec);
+  }
+  auto le = [](std::string& out, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+  };
+  std::string payload;
+  le(payload, 2, 8);           // digest
+  le(payload, 1, 4);           // attempt
+  le(payload, 0, 1);           // status kOk
+  le(payload, 1, 4);           // attempts
+  le(payload, 0, 8);           // elapsed_ms
+  le(payload, 1ull << 62, 8);  // value count
+  std::string body(1, '\x01');  // reveal record kind
+  body += payload;
+  std::string frame;
+  le(frame, payload.size(), 4);
+  le(frame, journal::crc32(body.data(), body.size()), 4);
+  frame += body;
+  std::ofstream(path, std::ios::binary | std::ios::app) << frame;
+  EXPECT_THROW(journal::RevealLedger::open(path), journal::JournalError);
   std::filesystem::remove(path);
 }
 

@@ -4,6 +4,8 @@
 #include "journal/journal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -364,6 +366,106 @@ TEST(Journal, ReplayRejectsDivergentRegionDigest) {
   jnl->begin_batch(Phase::kInit, 0, ids);
   jnl->commit_batch(Phase::kInit, 0, 2, {1, 2, 3, 4});
   EXPECT_THROW(jnl->record_regions(1, 150, 0x9999ull), JournalMismatchError);
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  }
+}
+
+/// Appends one CRC-valid `u32 len | u32 crc | u8 kind | payload` frame.
+void append_frame(const fs::path& path, std::uint8_t kind,
+                  const std::string& payload) {
+  std::string body(1, static_cast<char>(kind));
+  body += payload;
+  std::string frame;
+  put_le(frame, payload.size(), 4);
+  put_le(frame, crc32(body.data(), body.size()), 4);
+  frame += body;
+  std::ofstream(path, std::ios::binary | std::ios::app) << frame;
+}
+
+// Format golden: a fixed call sequence must produce this exact segment, so
+// any change to the record encoding or the frame shows up here.
+TEST(Journal, SegmentBytesMatchFormatGolden) {
+  JournalOptions options;
+  options.region_snapshot_every = 1;
+  const std::string dir = fresh_dir("golden");
+  {
+    auto jnl = RunJournal::create(dir, options);
+    jnl->begin_run(small_meta());
+    const std::vector<std::size_t> ids = {3, 11};
+    jnl->begin_batch(Phase::kInit, 0, ids);
+    jnl->append_reveal(ok_reveal(3, 1.0, 2.0));
+    RevealRecord failed;
+    failed.id = 11;
+    failed.status = RevealStatus::kFailed;
+    failed.attempts = 3;
+    failed.elapsed_ms = 7.25;
+    failed.error = "license server unreachable";
+    jnl->append_reveal(failed);
+    jnl->commit_batch(Phase::kInit, 0, 2, {1, 2, 3, 4});
+    jnl->record_regions(1, 2, 0xABCDull, [] {
+      std::vector<RegionSnapshotEntry> snap(2);
+      snap[0].id = 5;
+      snap[0].lo = {0.5, -1.5};
+      snap[0].hi = {1.5, 2.5};
+      snap[1].id = 9;
+      snap[1].lo = {-0.25, 0.0};
+      snap[1].hi = {0.75, 3.0};
+      return snap;
+    });
+    jnl->record_shutdown(ShutdownReason::kCompleted, 1);
+  }
+  const std::string bytes = read_bytes(fs::path(dir) / "000001.open");
+  EXPECT_EQ(bytes.size(), 551u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x7D5BB884u);
+}
+
+TEST(Journal, OversizedElementCountIsAJournalError) {
+  // A CRC-valid selection record whose id count (2^62) cannot fit in the
+  // payload must be rejected as corrupt before anything is allocated.
+  const std::string dir = write_small_run("hugecount");
+  std::string payload;
+  put_le(payload, static_cast<std::uint8_t>(Phase::kRound), 1);
+  put_le(payload, 1, 8);              // round
+  put_le(payload, 1ull << 62, 8);     // id count
+  append_frame(fs::path(dir) / "000001.open",
+               static_cast<std::uint8_t>(JournalEntry::Kind::kSelection),
+               payload);
+  EXPECT_THROW(read_journal(dir), JournalError);
+}
+
+// The destructor flushes the buffered region record; when that final write
+// fails (here: the file-size limit is reached) it must log, not terminate.
+void destroy_journal_past_file_size_limit(const std::string& dir) {
+  auto jnl = RunJournal::create(dir);
+  jnl->begin_run(small_meta());
+  jnl->begin_batch(Phase::kInit, 0, std::vector<std::size_t>{3});
+  jnl->append_reveal(ok_reveal(3, 1.0, 2.0));
+  jnl->commit_batch(Phase::kInit, 0, 1, {1, 2, 3, 4});
+  jnl->record_regions(1, 10, 0xABCDull);  // buffered, not yet written
+  const auto size =
+      static_cast<rlim_t>(fs::file_size(fs::path(dir) / "000001.open"));
+  const rlimit limit{size, size};
+  ::setrlimit(RLIMIT_FSIZE, &limit);
+  ::signal(SIGXFSZ, SIG_IGN);
+  jnl.reset();
+  ::_exit(0);
+}
+
+TEST(JournalDeathTest, DestructorSurvivesAFailedFinalWrite) {
+  const std::string dir = fresh_dir("fsizelimit");
+  EXPECT_EXIT(destroy_journal_past_file_size_limit(dir),
+              ::testing::ExitedWithCode(0), "");
 }
 
 // ---- Tuner integration: journaled runs and bit-identical resume -----------

@@ -116,6 +116,35 @@ TEST(WireFrame, RoundTrip) {
   EXPECT_EQ(r.u64(), 42u);
 }
 
+// Format golden: the exact bytes one Writer sequence puts on the socket.
+TEST(WireFrame, BytesMatchFormatGolden) {
+  FdPair p;
+  wire::Writer w;
+  w.u8(0xA5);
+  w.u32(0x01020304u);
+  w.u64(0x1122334455667788ull);
+  w.f64(-2.5);
+  w.str("ppa");
+  w.u64_vec({7, 0x100});
+  wire::write_frame(p.a, wire::MsgType::kEvalResult, w.take());
+  std::vector<std::uint8_t> got(256);
+  const ssize_t n = ::recv(p.b, got.data(), got.size(), 0);
+  ASSERT_GT(n, 0);
+  got.resize(static_cast<std::size_t>(n));
+  const std::vector<std::uint8_t> expected = {
+      0x30, 0x00, 0x00, 0x00, 0x0c,                    // len 48, kEvalResult
+      0xa5,                                            // u8
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0,  // f64 -2.5
+      0x03, 0x00, 0x00, 0x00, 0x70, 0x70, 0x61,        // str "ppa"
+      0x02, 0x00, 0x00, 0x00,                          // u64_vec count
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   7
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   0x100
+  };
+  EXPECT_EQ(got, expected);
+}
+
 TEST(WireFrame, CleanEofAtBoundaryIsNullopt) {
   FdPair p;
   ::close(p.a);
