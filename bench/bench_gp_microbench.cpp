@@ -109,7 +109,7 @@ void BM_TransferGpAddObservation(benchmark::State& state) {
     linalg::Vector x(9);
     for (auto& v : x) v = rng.uniform01();
     state.ResumeTiming();
-    model.add_target_observation(x, 1.0);
+    model.add_observation(x, 1.0);
     benchmark::DoNotOptimize(model.num_target_points());
   }
 }

@@ -169,7 +169,7 @@ PhaseResult bench_transfer_append(std::size_t n) {
       },
       [&] {
         for (const auto& x : extra) {
-          model->add_target_observation(x, response(x));
+          model->add_observation(x, response(x));
         }
       },
       /*min_iters=*/2, /*max_iters=*/50, kAppends);

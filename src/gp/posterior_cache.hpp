@@ -19,18 +19,22 @@
 // pools.
 //
 // Bit-exactness contract (tested): served means/variances are bit-identical
-// to Model::predict_batch on the same inputs. That holds because every
+// to ExactGp::predict_batch on the same inputs. That holds because every
 // extension step replicates CholeskyFactor::solve_lower_multi's per-column
 // sequence — including its zero-coefficient skip and its multiply by the
 // reciprocal diagonal — and every accumulator is a left fold in ascending
 // row order, the exact order the batch path uses.
 //
-// Invalidation: Model::posterior_epoch() bumps on every full
+// Invalidation: ExactGp::posterior_epoch() bumps on every full
 // re-factorization (refit, jitter fallback, re-fit from scratch); a bump
 // discards all entries and the next predict() rebuilds them (full forward
 // solves, fanned across the thread pool). Candidate ids absent from a
 // predict() call are evicted — the tuner's alive set only ever shrinks, so
 // an id that leaves the working set never returns.
+//
+// The cache reads only the exact-GP engine's posterior internals
+// (gp::ExactGp: factor, alpha, output scale, cross_rows, prior_variance,
+// posterior_epoch), so one cache type serves the plain and the transfer GP.
 #pragma once
 
 #include <algorithm>
@@ -39,20 +43,20 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "gp/exact_gp.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ppat::gp {
 
-/// Model must expose posterior_epoch(), factor(), alpha(), output_mean(),
-/// output_sd(), cross_rows() and prior_variance() — see GaussianProcess.
-template <class Model>
+/// Serves either exact-GP model (GaussianProcess, TransferGaussianProcess)
+/// through the engine's posterior internals.
 class PosteriorCache {
  public:
   /// Posterior at candidates identified by stable `ids` (ids[c] names xs[c]
   /// across rounds). Bit-identical to model.predict_batch(xs, ...). Ids not
   /// present in this call are evicted from the cache.
-  void predict(const Model& model, const std::vector<std::size_t>& ids,
+  void predict(const ExactGp& model, const std::vector<std::size_t>& ids,
                const std::vector<linalg::Vector>& xs, linalg::Vector& means,
                linalg::Vector& variances) {
     const linalg::CholeskyFactor& factor = model.factor();
@@ -113,7 +117,7 @@ class PosteriorCache {
     bool live = false;
   };
 
-  static void build(Entry& e, const Model& model,
+  static void build(Entry& e, const ExactGp& model,
                     const linalg::CholeskyFactor& factor,
                     const linalg::Vector& x, std::size_t rows) {
     e.k_star.resize(rows);
@@ -127,7 +131,7 @@ class PosteriorCache {
     e.live = true;
   }
 
-  static void extend(Entry& e, const Model& model,
+  static void extend(Entry& e, const ExactGp& model,
                      const linalg::CholeskyFactor& factor,
                      const linalg::Vector& x, std::size_t rows) {
     const std::size_t old = e.v.size();

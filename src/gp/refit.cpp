@@ -1,6 +1,11 @@
 #include "gp/refit.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
+#include <optional>
+
+#include "gp/exact_gp.hpp"
 
 namespace ppat::gp {
 
@@ -47,6 +52,73 @@ MultiStartResult minimize_multistart(
     }
   }
   return best;
+}
+
+double gaussian_nll(const linalg::Vector& ys, const linalg::Vector& alpha,
+                    double log_det) {
+  const double n = static_cast<double>(ys.size());
+  return 0.5 * linalg::dot(ys, alpha) + 0.5 * log_det +
+         0.5 * n * std::log(2.0 * std::numbers::pi);
+}
+
+struct ExactGp::NllData {
+  std::vector<linalg::Vector> xs;  ///< subset rows, source rows first
+  std::size_t n_source = 0;
+  linalg::Vector ys;  ///< standardized targets of the subset rows
+  /// Hyper-parameter-independent pair statistics of xs, for kernels that
+  /// support the pairwise cache.
+  std::optional<Kernel::PairwiseStats> stats;
+};
+
+double ExactGp::nll(const linalg::Vector& log_params,
+                    const NllData& data) const {
+  // Reject out-of-range points before any allocation: the search probes
+  // many infeasible candidates and this path must stay cheap.
+  for (double p : log_params) {
+    if (!std::isfinite(p) || std::fabs(p) > 12.0) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
+  const JointHypers h = decode_hypers(log_params);
+  auto k = kernel_->clone();
+  k->set_hyperparameters(h.kernel);
+  auto chol = linalg::CholeskyFactor::compute_with_jitter(joint_gram(
+      data.stats ? k->gram_from_pairwise(*data.stats) : k->gram(data.xs),
+      data.n_source, h.rho, h.source_noise, h.target_noise));
+  if (!chol) return std::numeric_limits<double>::infinity();
+  return gaussian_nll(data.ys, chol->solve(data.ys), chol->log_det());
+}
+
+void ExactGp::execute_refit(const RefitPlan& plan) {
+  NllData data;
+  data.n_source = plan.n_source;
+  data.xs.reserve(plan.rows.size());
+  data.ys.reserve(plan.rows.size());
+  for (std::size_t i : plan.rows) {
+    data.xs.push_back(xs_[i]);
+    data.ys.push_back(ys_std_[i]);
+  }
+  // Pairwise-cache kernels only depend on per-pair statistics (squared
+  // distances; plus categorical mismatch counts for the mixed kernel) that
+  // do not depend on the hyper-parameters: compute them once for the
+  // subset, and each probe is a scalar map + Cholesky instead of an
+  // O(n^2 d) Gram rebuild from raw inputs.
+  if (kernel_->supports_pairwise_cache()) {
+    data.stats = kernel_->pairwise_stats(data.xs);
+  }
+
+  linalg::NelderMeadOptions nm;
+  nm.max_evals = plan.max_evals;
+  nm.initial_step = 0.7;
+  const MultiStartResult best = minimize_multistart(
+      [&](const linalg::Vector& p) { return nll(p, data); }, plan.current,
+      plan.starts, nm);
+
+  if (std::isfinite(best.f)) apply_hypers(best.x, plan.min_noise_variance);
+  // Re-standardize over every target: appends since the last fit were
+  // standardized against its frozen scales.
+  standardize();
+  factorize();
 }
 
 }  // namespace ppat::gp

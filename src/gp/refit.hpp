@@ -1,11 +1,13 @@
-// Shared refit machinery for GaussianProcess and TransferGaussianProcess.
+// The hyper-parameter refit of the exact-GP engine (gp::ExactGp).
 //
-// Both models split a hyper-parameter refit into prepare (serial RNG draws:
-// the NLL subsample and one perturbed start per restart) and execute (the
-// deterministic search). These helpers are the single source of truth for
-//   * the subsample draw,
-//   * the multi-start origin list, and
-//   * the multi-start Nelder-Mead minimization itself.
+// A refit is split into prepare (serial RNG draws: the NLL subsample and one
+// perturbed start per restart, made by each model's prepare_refit) and
+// execute (the deterministic search). This file holds the one copy of
+//   * the subsample draw and the multi-start origin list,
+//   * the multi-start Nelder-Mead minimization,
+//   * the NLL — parameter-range reject, joint Gram, jittered Cholesky,
+//     value — and the ExactGp::execute_refit skeleton around it
+//     (refit.cpp).
 //
 // The winner is chosen by one ordered scan (incumbent first, then starts in
 // plan order, strict <), so the fitted hyper-parameters are a pure function
@@ -25,8 +27,7 @@ namespace ppat::gp {
 /// Draws the NLL subsample: identity when total <= cap, else `cap` distinct
 /// indices from the shared RNG (sorted when `sorted`; the transfer GP sorts
 /// so the joint subset preserves source-block ordering, the plain GP keeps
-/// draw order — both inherited from the original implementations and
-/// bit-frozen by journal replay).
+/// draw order — both bit-frozen by journal replay).
 std::vector<std::size_t> refit_subset(common::Rng& rng, std::size_t total,
                                       std::size_t cap, bool sorted);
 
@@ -48,5 +49,10 @@ MultiStartResult minimize_multistart(
     const std::function<double(const linalg::Vector&)>& objective,
     const linalg::Vector& current, const std::vector<linalg::Vector>& starts,
     const linalg::NelderMeadOptions& nm);
+
+/// Gaussian negative log likelihood 0.5 y.alpha + 0.5 log|K| + 0.5 n log 2pi
+/// of targets `ys` given alpha = K^-1 ys and log|K|.
+double gaussian_nll(const linalg::Vector& ys, const linalg::Vector& alpha,
+                    double log_det);
 
 }  // namespace ppat::gp

@@ -21,8 +21,11 @@ namespace {
 /// rounding — the AVX2/AVX-512 clones (runtime-dispatched) just process more
 /// lanes per instruction. AVX-512F carries EVEX fused multiply-add, so this
 /// file is compiled with -ffp-contract=off (see CMakeLists.txt): contraction
-/// would fuse the mul/sub chains and change roundings.
-#if defined(__x86_64__) && defined(__has_attribute)
+/// would fuse the mul/sub chains and change roundings. TSan builds take the
+/// default clone only: GCC 12's libtsan segfaults before main on the clones'
+/// ifunc resolvers.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif

@@ -17,6 +17,29 @@ namespace {
 
 enum class Status : unsigned char { kUndecided, kDropped, kPareto };
 
+/// Sets `out`'s dropped / classified_pareto / undecided counts (the fields
+/// PPATunerProgress and PPATunerDiagnostics share) from `status`, listing
+/// the Pareto-classified indices into `pareto_ids` when it is given.
+template <class Counts>
+void tally_status(const std::vector<Status>& status, Counts& out,
+                  std::vector<std::size_t>* pareto_ids = nullptr) {
+  out.dropped = out.classified_pareto = out.undecided = 0;
+  for (std::size_t i = 0; i < status.size(); ++i) {
+    switch (status[i]) {
+      case Status::kDropped:
+        ++out.dropped;
+        break;
+      case Status::kPareto:
+        ++out.classified_pareto;
+        if (pareto_ids != nullptr) pareto_ids->push_back(i);
+        break;
+      case Status::kUndecided:
+        ++out.undecided;
+        break;
+    }
+  }
+}
+
 /// Componentwise a <= b + delta.
 bool leq_with_slack(const linalg::Vector& a, const linalg::Vector& b,
                     const linalg::Vector& delta) {
@@ -545,20 +568,8 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
       PPATunerProgress progress;
       progress.round = rounds;
       progress.runs = runs_count;
-      for (std::size_t i = 0; i < n; ++i) {
-        switch (status[i]) {
-          case Status::kDropped:
-            ++progress.dropped;
-            break;
-          case Status::kPareto:
-            ++progress.classified_pareto;
-            if (options.report_front_ids) progress.pareto_ids.push_back(i);
-            break;
-          case Status::kUndecided:
-            ++progress.undecided;
-            break;
-        }
-      }
+      tally_status(status, progress,
+                   options.report_front_ids ? &progress.pareto_ids : nullptr);
       options.on_round(progress);
     }
   }
@@ -622,22 +633,7 @@ TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
     diagnostics->replayed_reveals =
         jnl != nullptr ? jnl->replayed_reveals() : 0;
     diagnostics->stopped_early = stopped_early;
-    diagnostics->dropped = 0;
-    diagnostics->classified_pareto = 0;
-    diagnostics->undecided = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (status[i]) {
-        case Status::kDropped:
-          ++diagnostics->dropped;
-          break;
-        case Status::kPareto:
-          ++diagnostics->classified_pareto;
-          break;
-        case Status::kUndecided:
-          ++diagnostics->undecided;
-          break;
-      }
-    }
+    tally_status(status, *diagnostics);
     diagnostics->task_correlations.clear();
     for (const auto& m : models) {
       if (const auto* tgp = dynamic_cast<const TransferGpSurrogate*>(m.get())) {

@@ -28,6 +28,51 @@ std::unique_ptr<gp::Kernel> make_space_kernel(
   return std::make_unique<gp::MixedSpaceKernel>(std::move(categorical));
 }
 
+GpSurrogate::GpSurrogate(std::unique_ptr<gp::ExactGp> model,
+                         std::vector<linalg::Vector> source_xs,
+                         linalg::Vector source_ys)
+    : model_(std::move(model)),
+      source_xs_(std::move(source_xs)),
+      source_ys_(std::move(source_ys)) {}
+
+void GpSurrogate::fit(const std::vector<linalg::Vector>& xs,
+                      const linalg::Vector& ys) {
+  model_->fit(source_xs_, source_ys_, xs, ys);
+}
+
+void GpSurrogate::add_observation(const linalg::Vector& x, double y) {
+  model_->add_observation(x, y);
+}
+
+void GpSurrogate::add_observation_batch(const std::vector<linalg::Vector>& xs,
+                                        const linalg::Vector& ys) {
+  model_->add_observation_batch(xs, ys);
+}
+
+void GpSurrogate::prepare_refit(common::Rng& rng) {
+  plan_ = model_->prepare_refit(rng);
+  has_plan_ = true;
+}
+
+void GpSurrogate::execute_refit() {
+  if (!has_plan_) throw std::logic_error("GpSurrogate: prepare_refit first");
+  has_plan_ = false;
+  model_->execute_refit(plan_);
+}
+
+void GpSurrogate::predict_batch(const std::vector<linalg::Vector>& xs,
+                                linalg::Vector& means,
+                                linalg::Vector& variances) const {
+  model_->predict_batch(xs, means, variances);
+}
+
+void GpSurrogate::predict_batch_cached(const std::vector<std::size_t>& ids,
+                                       const std::vector<linalg::Vector>& xs,
+                                       linalg::Vector& means,
+                                       linalg::Vector& variances) {
+  cache_.predict(*model_, ids, xs, means, variances);
+}
+
 TransferGpSurrogate::TransferGpSurrogate(
     std::vector<linalg::Vector> source_xs, linalg::Vector source_ys,
     KernelKind kind)
@@ -37,95 +82,15 @@ TransferGpSurrogate::TransferGpSurrogate(
 TransferGpSurrogate::TransferGpSurrogate(
     std::vector<linalg::Vector> source_xs, linalg::Vector source_ys,
     std::unique_ptr<gp::Kernel> kernel)
-    : source_xs_(std::move(source_xs)),
-      source_ys_(std::move(source_ys)),
-      model_(std::move(kernel)) {}
-
-void TransferGpSurrogate::fit(const std::vector<linalg::Vector>& xs,
-                              const linalg::Vector& ys) {
-  model_.fit(source_xs_, source_ys_, xs, ys);
-}
-
-void TransferGpSurrogate::add_observation(const linalg::Vector& x, double y) {
-  model_.add_target_observation(x, y);
-}
-
-void TransferGpSurrogate::add_observation_batch(
-    const std::vector<linalg::Vector>& xs, const linalg::Vector& ys) {
-  model_.add_target_observation_batch(xs, ys);
-}
-
-void TransferGpSurrogate::prepare_refit(common::Rng& rng) {
-  plan_ = model_.prepare_refit(rng);
-  has_plan_ = true;
-}
-
-void TransferGpSurrogate::execute_refit() {
-  if (!has_plan_) {
-    throw std::logic_error("TransferGpSurrogate: prepare_refit first");
-  }
-  has_plan_ = false;
-  model_.execute_refit(plan_);
-}
-
-void TransferGpSurrogate::predict_batch(const std::vector<linalg::Vector>& xs,
-                                        linalg::Vector& means,
-                                        linalg::Vector& variances) const {
-  model_.predict_batch(xs, means, variances);
-}
-
-void TransferGpSurrogate::predict_batch_cached(
-    const std::vector<std::size_t>& ids,
-    const std::vector<linalg::Vector>& xs, linalg::Vector& means,
-    linalg::Vector& variances) {
-  cache_.predict(model_, ids, xs, means, variances);
-}
+    : GpSurrogate(
+          std::make_unique<gp::TransferGaussianProcess>(std::move(kernel)),
+          std::move(source_xs), std::move(source_ys)) {}
 
 PlainGpSurrogate::PlainGpSurrogate(KernelKind kind)
-    : model_(make_kernel(kind)) {}
+    : PlainGpSurrogate(make_kernel(kind)) {}
 
 PlainGpSurrogate::PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel)
-    : model_(std::move(kernel)) {}
-
-void PlainGpSurrogate::fit(const std::vector<linalg::Vector>& xs,
-                           const linalg::Vector& ys) {
-  model_.fit(xs, ys);
-}
-
-void PlainGpSurrogate::add_observation(const linalg::Vector& x, double y) {
-  model_.add_observation(x, y);
-}
-
-void PlainGpSurrogate::add_observation_batch(
-    const std::vector<linalg::Vector>& xs, const linalg::Vector& ys) {
-  model_.add_observation_batch(xs, ys);
-}
-
-void PlainGpSurrogate::prepare_refit(common::Rng& rng) {
-  plan_ = model_.prepare_refit(rng);
-  has_plan_ = true;
-}
-
-void PlainGpSurrogate::execute_refit() {
-  if (!has_plan_) {
-    throw std::logic_error("PlainGpSurrogate: prepare_refit first");
-  }
-  has_plan_ = false;
-  model_.execute_refit(plan_);
-}
-
-void PlainGpSurrogate::predict_batch(const std::vector<linalg::Vector>& xs,
-                                     linalg::Vector& means,
-                                     linalg::Vector& variances) const {
-  model_.predict_batch(xs, means, variances);
-}
-
-void PlainGpSurrogate::predict_batch_cached(
-    const std::vector<std::size_t>& ids,
-    const std::vector<linalg::Vector>& xs, linalg::Vector& means,
-    linalg::Vector& variances) {
-  cache_.predict(model_, ids, xs, means, variances);
-}
+    : GpSurrogate(std::make_unique<gp::GaussianProcess>(std::move(kernel))) {}
 
 SurrogateFactory make_transfer_gp_factory(const SourceData& source,
                                           KernelKind kind) {

@@ -2,8 +2,9 @@
 //
 // The tuner models each QoR metric as an independent regressor (paper §2.1:
 // "we model each QoR metric as a draw from an independent GP distribution").
-// Two implementations are provided: the paper's transfer GP (PPATuner) and a
-// plain target-only GP (the TCAD'19 baseline and the no-transfer ablation).
+// Two surrogates are provided, both through the one exact-GP adapter
+// GpSurrogate: the paper's transfer GP (PPATuner) and a plain target-only GP
+// (the TCAD'19 baseline and the no-transfer ablation).
 #pragma once
 
 #include <functional>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "flow/parameter.hpp"
+#include "gp/gp.hpp"
 #include "gp/posterior_cache.hpp"
 #include "gp/transfer_gp.hpp"
 #include "linalg/matrix.hpp"
@@ -104,12 +106,55 @@ std::unique_ptr<gp::Kernel> make_kernel(KernelKind kind);
 /// factor domains — are ordinal, so they stay on the SE part).
 std::unique_ptr<gp::Kernel> make_space_kernel(const flow::ParameterSpace& space);
 
-/// Paper's transfer GP over (source data, target observations).
-class TransferGpSurrogate final : public Surrogate {
+/// The one exact-GP adapter: a gp::ExactGp model behind the Surrogate
+/// interface, with the cross-round posterior cache and the prepared refit
+/// plan. Its two public faces differ only in the model they build.
+class GpSurrogate : public Surrogate {
+ public:
+  void fit(const std::vector<linalg::Vector>& xs,
+           const linalg::Vector& ys) override;
+  void add_observation(const linalg::Vector& x, double y) override;
+  void add_observation_batch(const std::vector<linalg::Vector>& xs,
+                             const linalg::Vector& ys) override;
+  void prepare_refit(common::Rng& rng) override;
+  void execute_refit() override;
+  void predict_batch(const std::vector<linalg::Vector>& xs,
+                     linalg::Vector& means,
+                     linalg::Vector& variances) const override;
+  void predict_batch_cached(const std::vector<std::size_t>& ids,
+                            const std::vector<linalg::Vector>& xs,
+                            linalg::Vector& means,
+                            linalg::Vector& variances) override;
+  void set_tiled_prediction(bool enabled) override {
+    model_->set_tiled_prediction(enabled);
+  }
+  std::size_t num_target_points() const override {
+    return model_->num_target_points();
+  }
+
+ protected:
+  /// Every fit() joins `source_xs`/`source_ys` (copied; empty for the plain
+  /// GP) with the target observations.
+  explicit GpSurrogate(std::unique_ptr<gp::ExactGp> model,
+                       std::vector<linalg::Vector> source_xs = {},
+                       linalg::Vector source_ys = {});
+
+  std::unique_ptr<gp::ExactGp> model_;
+
+ private:
+  std::vector<linalg::Vector> source_xs_;
+  linalg::Vector source_ys_;
+  gp::ExactGp::RefitPlan plan_;
+  gp::PosteriorCache cache_;
+  bool has_plan_ = false;
+};
+
+/// Paper's transfer GP over (source data, target observations). Refits use
+/// the default gp::TransferFitOptions.
+class TransferGpSurrogate final : public GpSurrogate {
  public:
   /// `source_xs`/`source_ys` are the historical task's encoded configs and
-  /// golden values for this objective. They are copied. Refits use the
-  /// default gp::TransferFitOptions.
+  /// golden values for this objective. They are copied.
   TransferGpSurrogate(std::vector<linalg::Vector> source_xs,
                       linalg::Vector source_ys,
                       KernelKind kind = KernelKind::kSquaredExponential);
@@ -119,74 +164,21 @@ class TransferGpSurrogate final : public Surrogate {
                       linalg::Vector source_ys,
                       std::unique_ptr<gp::Kernel> kernel);
 
-  void fit(const std::vector<linalg::Vector>& xs,
-           const linalg::Vector& ys) override;
-  void add_observation(const linalg::Vector& x, double y) override;
-  void add_observation_batch(const std::vector<linalg::Vector>& xs,
-                             const linalg::Vector& ys) override;
-  void prepare_refit(common::Rng& rng) override;
-  void execute_refit() override;
-  void predict_batch(const std::vector<linalg::Vector>& xs,
-                     linalg::Vector& means,
-                     linalg::Vector& variances) const override;
-  void predict_batch_cached(const std::vector<std::size_t>& ids,
-                            const std::vector<linalg::Vector>& xs,
-                            linalg::Vector& means,
-                            linalg::Vector& variances) override;
-  void set_tiled_prediction(bool enabled) override {
-    model_.set_tiled_prediction(enabled);
-  }
-  std::size_t num_target_points() const override {
-    return model_.num_target_points();
-  }
-
   /// Learned inter-task correlation (diagnostic).
-  double task_correlation() const { return model_.task_correlation(); }
-
- private:
-  std::vector<linalg::Vector> source_xs_;
-  linalg::Vector source_ys_;
-  gp::TransferGaussianProcess model_;
-  gp::TransferGaussianProcess::RefitPlan plan_;
-  gp::PosteriorCache<gp::TransferGaussianProcess> cache_;
-  bool has_plan_ = false;
+  double task_correlation() const {
+    return static_cast<const gp::TransferGaussianProcess&>(*model_)
+        .task_correlation();
+  }
 };
 
 /// Target-only GP (no transfer). Refits use the default gp::FitOptions.
-class PlainGpSurrogate final : public Surrogate {
+class PlainGpSurrogate final : public GpSurrogate {
  public:
   explicit PlainGpSurrogate(
       KernelKind kind = KernelKind::kSquaredExponential);
 
   /// Explicit-kernel variant (mixed-space runs pass a MixedSpaceKernel).
   explicit PlainGpSurrogate(std::unique_ptr<gp::Kernel> kernel);
-
-  void fit(const std::vector<linalg::Vector>& xs,
-           const linalg::Vector& ys) override;
-  void add_observation(const linalg::Vector& x, double y) override;
-  void add_observation_batch(const std::vector<linalg::Vector>& xs,
-                             const linalg::Vector& ys) override;
-  void prepare_refit(common::Rng& rng) override;
-  void execute_refit() override;
-  void predict_batch(const std::vector<linalg::Vector>& xs,
-                     linalg::Vector& means,
-                     linalg::Vector& variances) const override;
-  void predict_batch_cached(const std::vector<std::size_t>& ids,
-                            const std::vector<linalg::Vector>& xs,
-                            linalg::Vector& means,
-                            linalg::Vector& variances) override;
-  void set_tiled_prediction(bool enabled) override {
-    model_.set_tiled_prediction(enabled);
-  }
-  std::size_t num_target_points() const override {
-    return model_.num_points();
-  }
-
- private:
-  gp::GaussianProcess model_;
-  gp::GaussianProcess::RefitPlan plan_;
-  gp::PosteriorCache<gp::GaussianProcess> cache_;
-  bool has_plan_ = false;
 };
 
 /// Convenience factories.

@@ -89,15 +89,6 @@ TEST(GaussianProcess, PredictBatchMatchesSingle) {
   }
 }
 
-TEST(GaussianProcess, PredictBatchNoiseOption) {
-  auto gp = make_gp(0.3, 1e-2);
-  gp.fit({{0.0}, {1.0}}, {0.0, 1.0});
-  linalg::Vector m1, v1, m2, v2;
-  gp.predict_batch({{0.5}}, m1, v1, false);
-  gp.predict_batch({{0.5}}, m2, v2, true);
-  EXPECT_GT(v2[0], v1[0]);
-}
-
 TEST(GaussianProcess, HyperparameterFitImprovesLikelihood) {
   common::Rng rng(5);
   // Data from a known smooth function, deliberately mis-specified initial

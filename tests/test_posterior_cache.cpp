@@ -63,7 +63,7 @@ void expect_bitwise_equal_prediction(const Model& model,
 }
 
 template <class Model>
-void expect_cache_matches(PosteriorCache<Model>& cache, const Model& model,
+void expect_cache_matches(PosteriorCache& cache, const Model& model,
                           const std::vector<std::size_t>& ids,
                           const std::vector<linalg::Vector>& xs) {
   linalg::Vector m_ref, v_ref, m_cache, v_cache;
@@ -109,7 +109,7 @@ TEST(PosteriorCacheTest, PlainGpLifecycleBitIdentical) {
   GaussianProcess model(std::make_unique<SquaredExponentialKernel>(0.3, 1.0),
                         1e-4);
   model.fit(train, responses(train));
-  PosteriorCache<GaussianProcess> cache;
+  PosteriorCache cache;
 
   // Build.
   expect_cache_matches(cache, model, ids, cands);
@@ -152,18 +152,18 @@ TEST(PosteriorCacheTest, TransferGpLifecycleBitIdentical) {
   TransferGaussianProcess model(
       std::make_unique<SquaredExponentialKernel>(0.3, 1.0));
   model.fit(src, responses(src), tgt, responses(tgt));
-  PosteriorCache<TransferGaussianProcess> cache;
+  PosteriorCache cache;
 
   expect_cache_matches(cache, model, ids, cands);
   const auto epoch_after_fit = model.posterior_epoch();
 
   const auto extra = draw_points(3, rng);
-  for (const auto& x : extra) model.add_target_observation(x, response(x));
+  for (const auto& x : extra) model.add_observation(x, response(x));
   EXPECT_EQ(model.posterior_epoch(), epoch_after_fit);
   expect_cache_matches(cache, model, ids, cands);
 
   const auto batch = draw_points(4, rng);
-  model.add_target_observation_batch(batch, responses(batch));
+  model.add_observation_batch(batch, responses(batch));
   expect_cache_matches(cache, model, ids, cands);
 
   common::Rng fit_rng(4);

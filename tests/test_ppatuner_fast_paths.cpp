@@ -4,7 +4,9 @@
 // pairwise / uncached legacy loop still existed beside these paths, and both
 // produced exactly these values — so matching them pins the loop to the
 // reference semantics across batch sizes, objective counts, surrogate
-// families, and refit cadences.
+// families, kernels and refit cadences. Every golden also pins the order in
+// which candidates were revealed, so a run that drifts mid-way but ends on
+// the same front still fails.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +32,7 @@ struct Golden {
   std::size_t classified_pareto;
   std::size_t undecided;
   std::vector<std::uint64_t> task_correlation_bits;
+  std::uint64_t selection_digest;  ///< revealed indices in reveal order
 };
 
 std::uint64_t digest(const std::vector<std::size_t>& indices) {
@@ -48,6 +51,45 @@ std::uint64_t bits_of(double v) {
   std::memcpy(&bits, &v, sizeof bits);
   return bits;
 }
+
+/// Forwards every call to `inner` and records each revealed index in the
+/// order the tuner asked for it.
+class RecordingPool final : public CandidatePool {
+ public:
+  explicit RecordingPool(CandidatePool& inner) : inner_(inner) {}
+
+  std::size_t size() const override { return inner_.size(); }
+  std::size_t num_objectives() const override {
+    return inner_.num_objectives();
+  }
+  const std::vector<linalg::Vector>& encoded() const override {
+    return inner_.encoded();
+  }
+  const std::vector<std::size_t>& objectives() const override {
+    return inner_.objectives();
+  }
+  pareto::Point reveal(std::size_t i) override {
+    revealed.push_back(i);
+    return inner_.reveal(i);
+  }
+  std::vector<RevealOutcome> reveal_batch(
+      const std::vector<std::size_t>& indices) override {
+    revealed.insert(revealed.end(), indices.begin(), indices.end());
+    return inner_.reveal_batch(indices);
+  }
+  bool is_revealed(std::size_t i) const override {
+    return inner_.is_revealed(i);
+  }
+  std::size_t runs() const override { return inner_.runs(); }
+  std::size_t failed_evaluations() const override {
+    return inner_.failed_evaluations();
+  }
+
+  std::vector<std::size_t> revealed;
+
+ private:
+  CandidatePool& inner_;
+};
 
 class FastPathParityTest : public ::testing::Test {
  protected:
@@ -82,7 +124,8 @@ class FastPathParityTest : public ::testing::Test {
                                const SurrogateFactory& factory,
                                const PPATunerOptions& opt,
                                const Golden& want) {
-    BenchmarkCandidatePool pool(&target, objectives);
+    BenchmarkCandidatePool inner(&target, objectives);
+    RecordingPool pool(inner);
     PPATunerDiagnostics diag;
     const TuningResult result = run_ppatuner(pool, factory, opt, &diag);
     EXPECT_EQ(result.pareto_indices.size(), want.pareto_count);
@@ -99,6 +142,25 @@ class FastPathParityTest : public ::testing::Test {
                 want.task_correlation_bits[k])
           << "objective " << k << ": " << diag.task_correlations[k];
     }
+    EXPECT_EQ(digest(pool.revealed), want.selection_digest);
+  }
+
+  /// Target of the HLS transfer pair (large GEMM systolic array).
+  static flow::BenchmarkSet systolic_target() {
+    return hls::build_systolic_benchmark("hls_tgt", hls::large_gemm(), 150,
+                                         34);
+  }
+
+  static PPATunerOptions systolic_options() {
+    PPATunerOptions opt;
+    opt.seed = 3;
+    opt.batch_size = 4;
+    opt.min_init = 10;
+    opt.init_fraction = 0.0;
+    opt.refit_every = 2;
+    opt.max_runs = 40;
+    opt.max_rounds = 20;
+    return opt;
   }
 
   flow::BenchmarkSet source_, target_;
@@ -113,15 +175,18 @@ TEST_F(FastPathParityTest, TransferThreeObjectivesAcrossBatchSizes) {
       {1,
        {277, 0x1ee66991a4584662ULL, 30, 0, 16, 129, 271, 0,
         {0x3fef76a539153612ULL, 0x3fec318a5ffb20aeULL,
-         0x3fefdce8c8df02b4ULL}}},
+         0x3fefdce8c8df02b4ULL},
+        0xb898a977708d1bbeULL}},
       {4,
        {271, 0x5c8e01420c985116ULL, 39, 0, 7, 136, 264, 0,
         {0x3fefc03d84cb57e8ULL, 0x3fedbe5e4ee42bc0ULL,
-         0x3feffbb3a4522dd4ULL}}},
+         0x3feffbb3a4522dd4ULL},
+        0xb46f99745d04886eULL}},
       {16,
        {273, 0xcb045812b451ab54ULL, 60, 0, 3, 89, 211, 100,
         {0x3fee94e9f8a5c3baULL, 0x3feab4f62ad9a54cULL,
-         0x3fe9ddc6ee6eadcaULL}}},
+         0x3fe9ddc6ee6eadcaULL},
+        0xfbfff3f520389eb2ULL}},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "batch=" << c.batch);
@@ -134,12 +199,26 @@ TEST_F(FastPathParityTest, TransferTwoObjectives) {
   const auto factory = make_transfer_gp_factory(source_data(kAreaDelay));
   expect_golden(kAreaDelay, factory, base_options(4),
                 {1, 0x5d22b4fa7ad07b4dULL, 19, 0, 2, 399, 1, 0,
-                 {0x3fee94e9f8a5c3baULL, 0x3fe9ddc6ee6eadcaULL}});
+                 {0x3fee94e9f8a5c3baULL, 0x3fe9ddc6ee6eadcaULL},
+                 0xd9b7ac4877043c78ULL});
 }
 
 TEST_F(FastPathParityTest, PlainGpSurrogates) {
   expect_golden(kPowerDelay, make_plain_gp_factory(), base_options(4),
-                {19, 0xf8a73b1618cf96a1ULL, 35, 0, 6, 381, 19, 0, {}});
+                {19, 0xf8a73b1618cf96a1ULL, 35, 0, 6, 381, 19, 0, {},
+                 0x696d71e13b11a9a4ULL});
+}
+
+TEST_F(FastPathParityTest, MaternTransferSurrogates) {
+  // Matern 5/2 refits take the pairwise-cache NLL through its
+  // gram_from_sqdist loop.
+  const auto factory = make_transfer_gp_factory(
+      source_data(kAreaPowerDelay), KernelKind::kMatern52);
+  expect_golden(kAreaPowerDelay, factory, base_options(4),
+                {272, 0x4455f2e16b59b652ULL, 59, 0, 12, 134, 266, 0,
+                 {0x3fee904e908702b6ULL, 0x3fe85f88db61d994ULL,
+                  0x3fee2fe77abfa100ULL},
+                 0x76840fe41023e433ULL});
 }
 
 TEST_F(FastPathParityTest, MixedKernelTransferSmallToLargeSystolic) {
@@ -148,24 +227,27 @@ TEST_F(FastPathParityTest, MixedKernelTransferSmallToLargeSystolic) {
   // the joint pairwise-cache NLL (sqdist + categorical mismatch counts).
   const auto source_bench =
       hls::build_systolic_benchmark("hls_src", hls::small_gemm(), 200, 33);
-  const auto target_bench =
-      hls::build_systolic_benchmark("hls_tgt", hls::large_gemm(), 150, 34);
+  const auto target_bench = systolic_target();
   const auto source =
       SourceData::from_benchmark(source_bench, kAreaPowerDelay, 120, 7);
-  PPATunerOptions opt;
-  opt.seed = 3;
-  opt.batch_size = 4;
-  opt.min_init = 10;
-  opt.init_fraction = 0.0;
-  opt.refit_every = 2;
-  opt.max_runs = 40;
-  opt.max_rounds = 20;
   expect_golden_on(target_bench, kAreaPowerDelay,
                    default_transfer_gp_factory_for(target_bench.space, source),
-                   opt,
+                   systolic_options(),
                    {18, 0x67811e2395705198ULL, 40, 0, 8, 47, 1, 102,
                     {0x3fef114aff4734dcULL, 0x3fefc2a7de827d1aULL,
-                     0x3fefd9632997cec4ULL}});
+                     0x3fefd9632997cec4ULL},
+                    0x60e0f111718be591ULL});
+}
+
+TEST_F(FastPathParityTest, MixedKernelPlainSystolic) {
+  // The plain GP on a mixed space: MixedSpaceKernel refits take the
+  // single-task pairwise-cache NLL.
+  const auto target_bench = systolic_target();
+  expect_golden_on(target_bench, kAreaPowerDelay,
+                   default_gp_factory_for(target_bench.space),
+                   systolic_options(),
+                   {19, 0xd4c69799baf088a3ULL, 40, 0, 8, 125, 8, 17, {},
+                    0xd1e230f884d4b2e4ULL});
 }
 
 }  // namespace

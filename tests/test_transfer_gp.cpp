@@ -128,7 +128,7 @@ TEST(TransferGp, AddTargetObservationRefines) {
   auto tgp = make_tgp();
   tgp.fit(src.xs, src.ys, tgt.xs, tgt.ys);
   const auto before = tgp.predict({0.5});
-  tgp.add_target_observation({0.5}, f_target(0.5));
+  tgp.add_observation({0.5}, f_target(0.5));
   const auto after = tgp.predict({0.5});
   EXPECT_LT(after.variance, before.variance + 1e-12);
   EXPECT_NEAR(after.mean, f_target(0.5), 0.1);
