@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
   const bool resuming = journal_exists(dir);
   auto jnl = resuming ? journal::RunJournal::open_resume(dir)
                       : journal::RunJournal::create(dir);
-  pool.set_journal(jnl.get());  // persist outcomes as each tool run finishes
   std::printf("%s journal at %s\n",
               resuming ? "resuming from" : "recording a new", dir.c_str());
 
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
   options.max_runs = 120;
   options.batch_size = eopt.licenses;
   options.seed = 3;
-  options.journal = jnl.get();
+  options.journal = jnl.get();  // each outcome is journaled as its run ends
   options.on_round = [&rounds_seen](const tuner::PPATunerProgress& p) {
     ++rounds_seen;
     std::printf("round %zu: %zu runs, %zu dropped, %zu pareto, %zu open\n",

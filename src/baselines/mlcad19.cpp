@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "gp/gp.hpp"
 #include "tuner/surrogate.hpp"
@@ -11,6 +12,9 @@ namespace ppat::baselines {
 
 tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
                                 const Mlcad19Options& options) {
+  if (options.refit_every == 0) {
+    throw std::invalid_argument("run_mlcad19: refit_every must be > 0");
+  }
   const std::size_t n = pool.size();
   const std::size_t n_obj = pool.num_objectives();
   common::Rng rng(options.seed);

@@ -29,7 +29,7 @@ struct Mlcad19Options {
   double kappa = 2.0;           ///< LCB exploration weight
   double init_fraction = 0.01;
   std::size_t min_init = 8;
-  std::size_t refit_every = 5;  ///< hyper-parameter refit cadence (rounds)
+  std::size_t refit_every = 5;  ///< refit cadence in rounds (> 0)
   Scalarization scalarization = Scalarization::kFixedWeights;
   std::uint64_t seed = 1;
 };

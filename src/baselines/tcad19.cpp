@@ -1,6 +1,7 @@
 #include "baselines/tcad19.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "tuner/surrogate.hpp"
 
@@ -8,6 +9,9 @@ namespace ppat::baselines {
 
 tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
                                const Tcad19Options& options) {
+  if (options.refit_every == 0) {
+    throw std::invalid_argument("run_tcad19: refit_every must be > 0");
+  }
   const std::size_t n = pool.size();
   const std::size_t n_obj = pool.num_objectives();
   common::Rng rng(options.seed);

@@ -24,7 +24,7 @@ struct Tcad19Options {
   std::size_t min_init = 10;
   std::size_t batch_size = 5;
   double explore_fraction = 0.1;  ///< share of selections taken at random
-  std::size_t refit_every = 5;    ///< hyper-parameter refit cadence (rounds)
+  std::size_t refit_every = 5;    ///< refit cadence in rounds (> 0)
   std::uint64_t seed = 1;
 };
 

@@ -27,8 +27,9 @@
 // AND TRUNCATED at the last valid record on resume — never trusted. Every
 // record is written through to the active segment the moment it is
 // appended (the selection when a batch opens, each reveal as its run
-// completes — flow::EvalService's per-completion hook via
-// tuner::LiveCandidatePool — and the commit marker when the batch closes);
+// completes — the tuner's CandidatePool::RevealObserver, which
+// tuner::LiveCandidatePool calls from flow::EvalService's per-completion
+// hook — and the commit marker when the batch closes);
 // a plain write() to the page cache survives SIGKILL/OOM-kill, so a killed
 // process loses only runs still in flight, never completed ones. fsync
 // happens once per batch commit (JournalOptions::fsync_each_commit), so
@@ -190,9 +191,9 @@ JournalContents read_journal(const std::string& dir);
 ///   begin_run(meta)                      once, before any batch
 ///   for each selection batch:
 ///     begin_batch(phase, round, ids)  -> replayed outcomes, maybe partial
-///     append_reveal(record)              for outcomes not already replayed
-///                                        (thread-safe; EvalService workers
-///                                        may call this mid-batch)
+///     append_reveal(record)              per live outcome as the pool
+///                                        reports it (thread-safe; called
+///                                        from EvalService workers)
 ///     commit_batch(..., rng_state)       flush point; verifies RNG on replay
 ///   record_regions(round, digest, ...)   once per round, before selection
 ///   record_shutdown(reason, rounds)      on exit (graceful or completed)
@@ -223,8 +224,6 @@ class RunJournal {
   bool replaying() const;
   /// Reveal outcomes served from the journal so far (diagnostics).
   std::size_t replayed_reveals() const { return replayed_reveals_; }
-  /// True between begin_batch and commit_batch.
-  bool batch_open() const { return batch_open_; }
   const std::string& directory() const { return dir_; }
   const JournalOptions& options() const { return options_; }
   /// Wall-clock seconds spent RECORDING (record encoding, writes, fsync)
@@ -254,8 +253,7 @@ class RunJournal {
   /// Appends one reveal outcome for the open batch and writes it through to
   /// the segment file immediately, so the record survives a SIGKILL the
   /// moment the call returns. Ids already journaled for this batch
-  /// (replayed, or appended concurrently by an evaluation worker) are
-  /// skipped, so the tuner can blanket-append after the batch without
+  /// (replayed, or appended before) are skipped, as a safety check against
   /// double-writing. Thread-safe. No-op when no batch is open.
   void append_reveal(const RevealRecord& record);
   /// Closes the batch: recording appends the commit marker and flushes

@@ -62,9 +62,11 @@ class BridgePool final : public CandidatePool {
   }
 
   // Tuner side: publish unanswered indices, block until the embedder has
-  // answered every one of them (ppat_set_result) or the session stops.
+  // answered every one of them (ppat_set_result) or the session stops, then
+  // report each position to `on_outcome` outside the lock.
   std::vector<RevealOutcome> reveal_batch(
-      const std::vector<std::size_t>& indices) override {
+      const std::vector<std::size_t>& indices,
+      const RevealObserver& on_outcome = {}) override {
     std::unique_lock lock(mutex_);
     std::size_t unresolved = 0;
     for (std::size_t i : indices) {
@@ -99,6 +101,10 @@ class BridgePool final : public CandidatePool {
         status_[i] = Status::kResolved;
         cache_[i] = out[k];
       }
+    }
+    lock.unlock();
+    if (on_outcome) {
+      for (std::size_t k = 0; k < out.size(); ++k) on_outcome(k, out[k]);
     }
     return out;
   }
@@ -232,7 +238,6 @@ void run_tuner_loop(ppat_session* s, ppat::tuner::PPATunerOptions topt,
   try {
     ppat::common::ThreadPool workers(num_threads);
     topt.thread_pool = &workers;
-    topt.report_front_ids = true;
     topt.should_stop = [s] { return s->pool->stopped(); };
     topt.on_round = [s](const ppat::tuner::PPATunerProgress& p) {
       std::lock_guard lock(s->mutex);

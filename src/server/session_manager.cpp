@@ -150,7 +150,6 @@ void SessionManager::run_session(Session& session) {
       }
       jnl = has_journal ? journal::RunJournal::open_resume(cfg.journal_dir)
                         : journal::RunJournal::create(cfg.journal_dir);
-      pool.set_journal(jnl.get());
     }
 
     common::ThreadPool workers(
@@ -159,7 +158,6 @@ void SessionManager::run_session(Session& session) {
     tuner::PPATunerOptions topt = cfg.tuner;
     topt.journal = jnl.get();
     topt.thread_pool = &workers;
-    topt.report_front_ids = static_cast<bool>(cfg.on_update);
     const auto user_should_stop = cfg.tuner.should_stop;
     topt.should_stop = [&session, user_should_stop] {
       return session.stop_requested() ||

@@ -87,9 +87,9 @@ struct SessionConfig {
   std::function<std::unique_ptr<flow::QorOracle>()> make_oracle;
   /// Surrogate factory; empty = plain (non-transfer) GPs.
   tuner::SurrogateFactory surrogates;
-  /// Tuner options. journal / thread_pool / should_stop / report_front_ids
-  /// are managed per session; on_round (if set) still fires after the
-  /// manager's own bookkeeping.
+  /// Tuner options. journal / thread_pool / should_stop are managed per
+  /// session; on_round (if set) still fires after the manager's own
+  /// bookkeeping.
   tuner::PPATunerOptions tuner;
   /// Evaluation options. license_broker / session_tag are overridden with
   /// the manager's shared broker and this session's id; `licenses` remains

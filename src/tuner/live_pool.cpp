@@ -25,26 +25,47 @@ LiveCandidatePool::LiveCandidatePool(std::vector<flow::Config> candidates,
     encoded_.push_back(service_->space().encode(c));
   }
   state_.assign(candidates_.size(), State::kUnknown);
-  values_.resize(candidates_.size());
   records_.resize(candidates_.size());
-  has_record_.assign(candidates_.size(), false);
 }
 
 const flow::RunRecord* LiveCandidatePool::record(std::size_t i) const {
-  return has_record_.at(i) ? &records_[i] : nullptr;
+  return state_.at(i) == State::kUnknown ? nullptr : &records_[i];
+}
+
+CandidatePool::RevealOutcome LiveCandidatePool::outcome_of(
+    std::size_t i, const flow::RunRecord& rec) const {
+  RevealOutcome out;
+  out.ok = rec.ok();
+  if (out.ok) {
+    out.value.reserve(objectives_.size());
+    for (std::size_t k : objectives_) out.value.push_back(rec.qor.metric(k));
+  } else {
+    out.timed_out = rec.status == flow::RunStatus::kTimedOut;
+    std::ostringstream msg;
+    msg << "candidate " << i << " " << journal::reveal_status_name(rec.status)
+        << " after " << rec.attempts << " attempt(s): " << rec.error;
+    out.error = msg.str();
+  }
+  out.attempts = rec.attempts;
+  out.elapsed_ms = rec.elapsed_ms;
+  return out;
 }
 
 std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
-    const std::vector<std::size_t>& indices) {
-  std::vector<RevealOutcome> outcomes(indices.size());
-
+    const std::vector<std::size_t>& indices,
+    const RevealObserver& on_outcome) {
   // Dispatch only candidates with no known outcome yet, each at most once
   // even if duplicated inside `indices` — a reveal never double-spends runs.
+  // The evaluator's observer reports the first position of each pending
+  // candidate; every other position is reported once the batch is back.
   std::vector<std::size_t> pending;
-  for (std::size_t i : indices) {
+  std::vector<std::size_t> pending_pos;
+  for (std::size_t p = 0; p < indices.size(); ++p) {
+    const std::size_t i = indices[p];
     if (state_.at(i) == State::kUnknown &&
         std::find(pending.begin(), pending.end(), i) == pending.end()) {
       pending.push_back(i);
+      pending_pos.push_back(p);
     }
   }
   if (!pending.empty()) {
@@ -52,25 +73,9 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
     configs.reserve(pending.size());
     for (std::size_t i : pending) configs.push_back(candidates_[i]);
     flow::BatchEvaluator::RunObserver observer;
-    if (journal_ != nullptr) {
-      // Journal each outcome as EvalService finalizes it (worker-thread
-      // callback; append_reveal is thread-safe): the full RunRecord —
-      // status including watchdog cancellations, attempt count, elapsed
-      // wall-clock — becomes durable before the batch even returns.
-      observer = [this, &pending](std::size_t j, const flow::RunRecord& rec) {
-        journal::RevealRecord out;
-        out.id = pending[j];
-        out.status = rec.status;
-        out.attempts = rec.attempts;
-        out.elapsed_ms = rec.elapsed_ms;
-        if (rec.ok()) {
-          out.objectives.reserve(objectives_.size());
-          for (std::size_t k : objectives_) {
-            out.objectives.push_back(rec.qor.metric(k));
-          }
-        }
-        out.error = rec.error;
-        journal_->append_reveal(out);
+    if (on_outcome) {
+      observer = [&](std::size_t j, const flow::RunRecord& rec) {
+        on_outcome(pending_pos[j], outcome_of(pending[j], rec));
       };
     }
     const std::vector<flow::RunRecord> records =
@@ -78,15 +83,9 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
     for (std::size_t j = 0; j < pending.size(); ++j) {
       const std::size_t i = pending[j];
       records_[i] = records[j];
-      has_record_[i] = true;
       if (records[j].ok()) {
         state_[i] = State::kRevealed;
         ++runs_;
-        pareto::Point p(objectives_.size());
-        for (std::size_t k = 0; k < objectives_.size(); ++k) {
-          p[k] = records[j].qor.metric(objectives_[k]);
-        }
-        values_[i] = std::move(p);
       } else {
         state_[i] = State::kFailed;
         ++failed_;
@@ -94,24 +93,13 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
     }
   }
 
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    const std::size_t i = indices[j];
-    if (state_[i] == State::kRevealed) {
-      outcomes[j].ok = true;
-      outcomes[j].value = values_[i];
-    } else {
-      outcomes[j].ok = false;
-      outcomes[j].timed_out =
-          records_[i].status == flow::RunStatus::kTimedOut;
-      std::ostringstream msg;
-      msg << "candidate " << i << " "
-          << journal::reveal_status_name(records_[i].status) << " after "
-          << records_[i].attempts << " attempt(s): " << records_[i].error;
-      outcomes[j].error = msg.str();
-    }
-    if (has_record_[i]) {
-      outcomes[j].attempts = records_[i].attempts;
-      outcomes[j].elapsed_ms = records_[i].elapsed_ms;
+  std::vector<RevealOutcome> outcomes;
+  outcomes.reserve(indices.size());
+  for (std::size_t p = 0; p < indices.size(); ++p) {
+    outcomes.push_back(outcome_of(indices[p], records_[indices[p]]));
+    if (on_outcome && std::find(pending_pos.begin(), pending_pos.end(), p) ==
+                          pending_pos.end()) {
+      on_outcome(p, outcomes.back());
     }
   }
   return outcomes;

@@ -16,14 +16,14 @@
 // BenchmarkCandidatePool built from the same configurations, for any
 // license count — reveal_batch stores outcomes by index, so ordering never
 // depends on scheduling.
+//
+// The pool keeps no journal: reveal_batch forwards the evaluator's
+// per-completion observer to the caller's RevealObserver, through which
+// run_ppatuner journals each outcome the moment its run ends.
 #pragma once
 
 #include "flow/eval_service.hpp"
 #include "tuner/problem.hpp"
-
-namespace ppat::journal {
-class RunJournal;
-}  // namespace ppat::journal
 
 namespace ppat::tuner {
 
@@ -50,8 +50,11 @@ class LiveCandidatePool final : public CandidatePool {
   }
 
   pareto::Point reveal(std::size_t i) override;
+  /// Dispatches the unknown candidates as one evaluator batch; `on_outcome`
+  /// sees each outcome from the worker thread as its run ends.
   std::vector<RevealOutcome> reveal_batch(
-      const std::vector<std::size_t>& indices) override;
+      const std::vector<std::size_t>& indices,
+      const RevealObserver& on_outcome = {}) override;
 
   bool is_revealed(std::size_t i) const override {
     return state_.at(i) == State::kRevealed;
@@ -67,33 +70,21 @@ class LiveCandidatePool final : public CandidatePool {
   /// when it was never dispatched.
   const flow::RunRecord* record(std::size_t i) const;
   const flow::Config& config(std::size_t i) const { return candidates_.at(i); }
-  flow::BatchEvaluator& service() { return *service_; }
-
-  /// Wires per-completion journaling: every RunRecord is appended to the
-  /// journal THE MOMENT EvalService finishes it (from the worker thread),
-  /// not when the batch returns — so a crash while later runs of the same
-  /// batch are still executing loses only those still in flight. Records
-  /// carry the full outcome (status incl. watchdog cancellations, attempt
-  /// count, elapsed time); the tuner's end-of-batch append journals the
-  /// same detail from RevealOutcome but only once reveal_batch returns,
-  /// and append_reveal's id-dedup makes the two paths compose. Pass
-  /// nullptr to unwire. The journal must outlive the pool's reveals.
-  void set_journal(journal::RunJournal* journal) { journal_ = journal; }
 
  private:
   enum class State : unsigned char { kUnknown, kRevealed, kFailed };
+
+  /// Candidate i's outcome as reported by its run record.
+  RevealOutcome outcome_of(std::size_t i, const flow::RunRecord& rec) const;
 
   std::vector<flow::Config> candidates_;
   std::vector<std::size_t> objectives_;
   std::vector<linalg::Vector> encoded_;
   flow::BatchEvaluator* service_;
   std::vector<State> state_;
-  std::vector<pareto::Point> values_;      ///< valid where kRevealed
-  std::vector<flow::RunRecord> records_;   ///< valid where != kUnknown
-  std::vector<bool> has_record_;
+  std::vector<flow::RunRecord> records_;  ///< valid where != kUnknown
   std::size_t runs_ = 0;
   std::size_t failed_ = 0;
-  journal::RunJournal* journal_ = nullptr;
 };
 
 }  // namespace ppat::tuner

@@ -1,19 +1,22 @@
 // PPATuner: the paper's Pareto-driven parameter auto-tuning loop (Alg. 1).
 //
-// Iterates over:
-//   Model calibration — per-objective surrogates predict mean/std for every
-//     still-alive candidate; each candidate keeps an axis-aligned
-//     uncertainty region R(x) = [mu - sqrt(tau) sigma, mu + sqrt(tau) sigma]
-//     (Eq. (9)) intersected with its previous region (Eq. (10)), so regions
-//     shrink monotonically.
-//   Decision-making — a candidate is DROPPED when some other alive
-//     candidate's pessimistic corner delta-dominates its optimistic corner
-//     (Eq. (11)); it is classified PARETO when no other alive candidate's
-//     optimistic corner delta-dominates its pessimistic corner (Eq. (12)).
-//   Selection — the alive candidate (undecided or Pareto-classified) with
-//     the largest uncertainty-region diameter is sent to the PD tool
-//     (Eq. (13)); batch mode evaluates the top-B diameters per round, which
-//     the paper supports via parallel tool licenses.
+// run_ppatuner calls one function per phase (src/tuner/ppatuner.cpp):
+//   initialize, fit — initial reveals (topped up while all have failed),
+//     then one surrogate per objective; refit every `refit_every` rounds.
+//   predict_regions — model calibration: each alive candidate keeps an
+//     axis-aligned region R(x) = [mu - sqrt(tau) sigma, mu + sqrt(tau) sigma]
+//     (Eq. (9)) intersected with its previous one (Eq. (10)), so regions
+//     shrink monotonically; journal_regions records their digest.
+//   classify — one delta-dominance pass, run twice: a candidate DROPS when
+//     some other alive candidate's pessimistic corner delta-dominates its
+//     optimistic corner (Eq. (11)); it is classified PARETO when no other
+//     alive candidate's optimistic corner delta-dominates its pessimistic
+//     corner (Eq. (12)).
+//   select_batch — the alive candidates (undecided or Pareto-classified)
+//     with the largest region diameters go to the PD tool (Eq. (13)), B per
+//     round, which the paper supports via parallel tool licenses.
+//   reveal, fold_in, finalize — the batch goes through the pool and the
+//     journal into every surrogate; finally the predicted Pareto set.
 //
 // The loop is parameterized on a SurrogateFactory: transfer GPs over source
 // data (PPATuner proper) or plain per-objective GPs (the no-transfer
@@ -44,9 +47,7 @@ struct PPATunerProgress {
   std::size_t dropped = 0;
   std::size_t classified_pareto = 0;
   std::size_t undecided = 0;
-  /// Candidates classified Pareto so far, in index order. Filled only when
-  /// PPATunerOptions::report_front_ids is set (streaming servers); empty
-  /// otherwise, so the default on_round cost is unchanged.
+  /// Candidates classified Pareto so far, in index order.
   std::vector<std::size_t> pareto_ids;
 };
 
@@ -62,7 +63,7 @@ struct PPATunerOptions {
   /// target-side training data is at most 5% of the pool in total).
   double init_fraction = 0.01;
   std::size_t min_init = 10;
-  /// Hyper-parameter refit cadence, in rounds.
+  /// Hyper-parameter refit cadence, in rounds (> 0).
   std::size_t refit_every = 3;
   /// Hard budget on tool runs (init + selections).
   std::size_t max_runs = 400;
@@ -85,17 +86,15 @@ struct PPATunerOptions {
   /// resize each other's pools (results are identical for every pool
   /// size). Must outlive the call; not owned.
   common::ThreadPool* thread_pool = nullptr;
-  /// Fill PPATunerProgress::pareto_ids on every on_round call (streaming
-  /// Pareto-front updates). Off by default: assembling the id list per
-  /// round is O(N) extra work that pure-convergence observers don't need.
-  bool report_front_ids = false;
   /// Optional per-round observer (convergence studies); called after each
   /// round's selection step.
   std::function<void(const PPATunerProgress&)> on_round;
   /// Optional durable run journal (crash-safe resume; see src/journal/).
   /// Fresh journal (RunJournal::create): every selection, reveal outcome,
   /// RNG state, and uncertainty-region digest is persisted as the loop
-  /// runs. Resumed journal (RunJournal::open_resume): the loop replays —
+  /// runs; the tuner appends each reveal outcome the moment the pool
+  /// reports it (CandidatePool::RevealObserver), mid-batch on live pools.
+  /// Resumed journal (RunJournal::open_resume): the loop replays —
   /// recorded reveals are served from the journal instead of the pool, the
   /// journaled RNG states and region digests are cross-checked every round
   /// (JournalMismatchError on divergence), and once the recording is
@@ -137,8 +136,8 @@ struct PPATunerDiagnostics {
 /// licenses; a candidate whose evaluation permanently fails is quarantined
 /// (dropped, never re-selected) and the successful part of the batch is
 /// still folded into the surrogates. Throws std::invalid_argument when
-/// max_runs == 0 or the pool is empty, and PoolEvaluationError when every
-/// initialization run fails.
+/// max_runs == 0, refit_every == 0 or the pool is empty, and
+/// PoolEvaluationError when every initialization run fails.
 TuningResult run_ppatuner(CandidatePool& pool, const SurrogateFactory& factory,
                           const PPATunerOptions& options,
                           PPATunerDiagnostics* diagnostics = nullptr);

@@ -14,7 +14,8 @@ const char* objective_space_name(const std::vector<std::size_t>& objectives) {
 }
 
 std::vector<CandidatePool::RevealOutcome> CandidatePool::reveal_batch(
-    const std::vector<std::size_t>& indices) {
+    const std::vector<std::size_t>& indices,
+    const RevealObserver& on_outcome) {
   std::vector<RevealOutcome> outcomes(indices.size());
   for (std::size_t j = 0; j < indices.size(); ++j) {
     try {
@@ -24,6 +25,7 @@ std::vector<CandidatePool::RevealOutcome> CandidatePool::reveal_batch(
       outcomes[j].ok = false;
       outcomes[j].error = e.what();
     }
+    if (on_outcome) on_outcome(j, outcomes[j]);
   }
   return outcomes;
 }

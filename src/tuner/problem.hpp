@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,12 +77,19 @@ class CandidatePool {
     double elapsed_ms = 0.0;     ///< tool wall-clock behind this outcome
   };
 
+  /// Called once per position of a reveal_batch call before it returns,
+  /// possibly from evaluation worker threads (so it must be thread-safe):
+  /// callers persist each outcome the moment it exists.
+  using RevealObserver =
+      std::function<void(std::size_t position, const RevealOutcome& outcome)>;
+
   /// Reveals many candidates; failures come back as per-candidate outcomes
-  /// (never throws for run failures). Live pools dispatch the whole batch
-  /// concurrently across tool licenses; the default implementation reveals
-  /// sequentially.
+  /// (never throws for run failures), and `on_outcome` (when set) sees each
+  /// one as it completes. Live pools dispatch the whole batch concurrently
+  /// across tool licenses; the default implementation reveals sequentially.
   virtual std::vector<RevealOutcome> reveal_batch(
-      const std::vector<std::size_t>& indices);
+      const std::vector<std::size_t>& indices,
+      const RevealObserver& on_outcome = {});
 
   virtual bool is_revealed(std::size_t i) const = 0;
   /// Successful first reveals so far ("tool runs" in the paper's metric).

@@ -141,6 +141,17 @@ TEST_F(BaselinesTest, AllBaselinesDeterministicGivenSeed) {
   });
 }
 
+TEST_F(BaselinesTest, RefitEveryZeroThrows) {
+  BenchmarkCandidatePool pool(&target_, kPowerDelay);
+  Tcad19Options tcad;
+  tcad.refit_every = 0;
+  EXPECT_THROW(run_tcad19(pool, tcad), std::invalid_argument);
+  Mlcad19Options mlcad;
+  mlcad.refit_every = 0;
+  EXPECT_THROW(run_mlcad19(pool, mlcad), std::invalid_argument);
+  EXPECT_EQ(pool.runs(), 0u);
+}
+
 TEST_F(BaselinesTest, ResultIndicesValid) {
   BenchmarkCandidatePool pool(&target_, kPowerDelay);
   Aspdac20Options opt;

@@ -43,6 +43,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -169,7 +170,6 @@ std::string run_task(const Task& task, const std::string& journal_dir,
     }
     jnl = has_journal ? journal::RunJournal::open_resume(journal_dir)
                       : journal::RunJournal::create(journal_dir);
-    pool.set_journal(jnl.get());
   }
 
   auto opt = task_options();
@@ -377,7 +377,6 @@ std::string hls_run_task(const HlsTask& task, const std::string& journal_dir,
     }
     jnl = has_journal ? journal::RunJournal::open_resume(journal_dir)
                       : journal::RunJournal::create(journal_dir);
-    pool.set_journal(jnl.get());
   }
 
   auto opt = hls_options();
@@ -485,13 +484,44 @@ void corrupt_tail(const std::string& journal_dir) {
               static_cast<unsigned long long>(size));
 }
 
+/// Checks the journal a 1-license mid-batch kill left behind: exactly
+/// `kill_evals` reveal records (EvalService reports each run to the
+/// tuner's journal writer before it starts the next), at least one of them
+/// after the last selection, whose batch never committed.
+void check_durable_reveals(const std::string& journal_dir, long kill_evals) {
+  using Kind = journal::JournalEntry::Kind;
+  long reveals = 0;
+  long open_batch_reveals = 0;
+  bool batch_open = false;
+  for (const auto& e : journal::read_journal(journal_dir).entries) {
+    if (e.kind == Kind::kSelection) {
+      batch_open = true;
+      open_batch_reveals = 0;
+    } else if (e.kind == Kind::kReveal) {
+      ++reveals;
+      ++open_batch_reveals;
+    } else if (e.kind == Kind::kBatchCommit) {
+      batch_open = false;
+    }
+  }
+  check(reveals == kill_evals,
+        "journal holds exactly the " + std::to_string(kill_evals) +
+            " completed runs (found " + std::to_string(reveals) + ")");
+  check(batch_open && open_batch_reveals >= 1,
+        "the uncommitted batch's completed runs are journaled (" +
+            std::to_string(open_batch_reveals) + ")");
+}
+
 /// One full scenario: spawn a child that crashes, optionally corrupt the
 /// journal tail, then resume (possibly through several crashes) and compare
-/// against the baseline fingerprint.
-void run_scenario(const std::string& name, const std::string& scratch,
-                  const std::string& data_dir, const std::string& baseline,
-                  std::size_t licenses, long kill_round, long kill_evals,
-                  bool corrupt, const char* child_flag = "--child") {
+/// against the baseline fingerprint. `after_kill` inspects the journal the
+/// crashed child left behind.
+void run_scenario(
+    const std::string& name, const std::string& scratch,
+    const std::string& data_dir, const std::string& baseline,
+    std::size_t licenses, long kill_round, long kill_evals, bool corrupt,
+    const char* child_flag = "--child",
+    const std::function<void(const std::string&)>& after_kill = {}) {
   std::printf("scenario %s (licenses=%zu kill_round=%ld kill_evals=%ld%s)\n",
               name.c_str(), licenses, kill_round, kill_evals,
               corrupt ? " corrupt-tail" : "");
@@ -517,6 +547,7 @@ void run_scenario(const std::string& name, const std::string& scratch,
   check(crashed.signalled && crashed.code == SIGKILL,
         "child was SIGKILLed mid-run");
   check(fs::exists(dir), "journal directory survives the kill");
+  if (after_kill) after_kill(dir);
 
   if (corrupt) corrupt_tail(dir);
 
@@ -737,6 +768,20 @@ int orchestrate(const std::map<std::string, std::string>& args) {
   // must truncate to the last valid record and still converge bitwise.
   run_scenario("corrupt_tail", scratch, data_dir, baseline, 1,
                1 + static_cast<long>(rng.next_below(max_kill)), -1, true);
+
+  // Per-completion durability. A journal written only at batch end would
+  // pass the scenarios above (the resume re-runs the lost reveals live),
+  // so this one reads the journal itself: a 1-license kill after 1-3 runs
+  // of a round's 4-run batch (init is 10 runs) must leave every completed
+  // run journaled, including those of the uncommitted batch.
+  const long durable_evals =
+      10 + 4 * static_cast<long>(rng.next_below(max_kill)) + 1 +
+      static_cast<long>(rng.next_below(3));
+  run_scenario("kill_midbatch_durable_lic1", scratch, data_dir, baseline, 1,
+               0, durable_evals, false, "--child",
+               [durable_evals](const std::string& dir) {
+                 check_durable_reveals(dir, durable_evals);
+               });
 
   if (g_failures == 0) {
     fs::remove_all(scratch);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "hls/systolic.hpp"
+#include "recording_pool.hpp"
 #include "synthetic_benchmark.hpp"
 #include "tuner/ppatuner.hpp"
 
@@ -52,44 +53,7 @@ std::uint64_t bits_of(double v) {
   return bits;
 }
 
-/// Forwards every call to `inner` and records each revealed index in the
-/// order the tuner asked for it.
-class RecordingPool final : public CandidatePool {
- public:
-  explicit RecordingPool(CandidatePool& inner) : inner_(inner) {}
-
-  std::size_t size() const override { return inner_.size(); }
-  std::size_t num_objectives() const override {
-    return inner_.num_objectives();
-  }
-  const std::vector<linalg::Vector>& encoded() const override {
-    return inner_.encoded();
-  }
-  const std::vector<std::size_t>& objectives() const override {
-    return inner_.objectives();
-  }
-  pareto::Point reveal(std::size_t i) override {
-    revealed.push_back(i);
-    return inner_.reveal(i);
-  }
-  std::vector<RevealOutcome> reveal_batch(
-      const std::vector<std::size_t>& indices) override {
-    revealed.insert(revealed.end(), indices.begin(), indices.end());
-    return inner_.reveal_batch(indices);
-  }
-  bool is_revealed(std::size_t i) const override {
-    return inner_.is_revealed(i);
-  }
-  std::size_t runs() const override { return inner_.runs(); }
-  std::size_t failed_evaluations() const override {
-    return inner_.failed_evaluations();
-  }
-
-  std::vector<std::size_t> revealed;
-
- private:
-  CandidatePool& inner_;
-};
+using testing::RecordingPool;
 
 class FastPathParityTest : public ::testing::Test {
  protected:
@@ -142,7 +106,7 @@ class FastPathParityTest : public ::testing::Test {
                 want.task_correlation_bits[k])
           << "objective " << k << ": " << diag.task_correlations[k];
     }
-    EXPECT_EQ(digest(pool.revealed), want.selection_digest);
+    EXPECT_EQ(digest(pool.revealed()), want.selection_digest);
   }
 
   /// Target of the HLS transfer pair (large GEMM systolic array).

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "pareto/pareto.hpp"
+#include "recording_pool.hpp"
 #include "synthetic_benchmark.hpp"
 #include "tuner/ppatuner.hpp"
 
@@ -66,47 +67,7 @@ tuner::SurrogateFactory scripted_factory(std::vector<double> epoch_means,
   };
 }
 
-/// Pass-through pool that records every reveal_batch call, so tests can
-/// assert the exact selection order the tuner dispatched.
-class RecordingPool final : public tuner::CandidatePool {
- public:
-  explicit RecordingPool(tuner::CandidatePool& inner) : inner_(inner) {}
-
-  std::size_t size() const override { return inner_.size(); }
-  std::size_t num_objectives() const override {
-    return inner_.num_objectives();
-  }
-  const std::vector<linalg::Vector>& encoded() const override {
-    return inner_.encoded();
-  }
-  const std::vector<std::size_t>& objectives() const override {
-    return inner_.objectives();
-  }
-  pareto::Point reveal(std::size_t i) override {
-    batches_.push_back({i});
-    return inner_.reveal(i);
-  }
-  std::vector<RevealOutcome> reveal_batch(
-      const std::vector<std::size_t>& indices) override {
-    batches_.push_back(indices);
-    return inner_.reveal_batch(indices);
-  }
-  bool is_revealed(std::size_t i) const override {
-    return inner_.is_revealed(i);
-  }
-  std::size_t runs() const override { return inner_.runs(); }
-  std::size_t failed_evaluations() const override {
-    return inner_.failed_evaluations();
-  }
-
-  const std::vector<std::vector<std::size_t>>& batches() const {
-    return batches_;
-  }
-
- private:
-  tuner::CandidatePool& inner_;
-  std::vector<std::vector<std::size_t>> batches_;
-};
+using testing::RecordingPool;
 
 tuner::PPATunerOptions stub_options() {
   tuner::PPATunerOptions opt;
@@ -139,10 +100,23 @@ std::vector<std::size_t> revealed_front(
 TEST(PPATunerPaths, MaxRunsZeroThrows) {
   const auto set = testing::synthetic_benchmark("paths_zero", 10, 1);
   tuner::BenchmarkCandidatePool pool(&set, tuner::kAreaDelay);
-  auto opt = stub_options();
-  opt.max_runs = 0;
-  EXPECT_THROW(run_ppatuner(pool, scripted_factory({0.0}, 1.0), opt),
-               std::invalid_argument);
+  // Each invalid option is rejected up front: max_runs = 0 leaves nothing
+  // to fit on, and refit_every = 0 is a zero divisor in the refit cadence.
+  const struct {
+    const char* name;
+    void (*set)(tuner::PPATunerOptions&);
+  } invalid[] = {
+      {"max_runs = 0", [](tuner::PPATunerOptions& o) { o.max_runs = 0; }},
+      {"refit_every = 0",
+       [](tuner::PPATunerOptions& o) { o.refit_every = 0; }},
+  };
+  for (const auto& c : invalid) {
+    SCOPED_TRACE(c.name);
+    auto opt = stub_options();
+    c.set(opt);
+    EXPECT_THROW(run_ppatuner(pool, scripted_factory({0.0}, 1.0), opt),
+                 std::invalid_argument);
+  }
 }
 
 TEST(PPATunerPaths, EmptyPoolThrows) {
