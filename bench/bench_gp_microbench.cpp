@@ -5,10 +5,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.hpp"
 #include "gp/gp.hpp"
+#include "gp/posterior_cache.hpp"
 #include "gp/transfer_gp.hpp"
+#include "linalg/cholesky.hpp"
 
 namespace {
 
@@ -114,6 +117,63 @@ void BM_TransferGpAddObservation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransferGpAddObservation);
+
+// SE Gram of n random 9-d points plus a small nugget: the SPD matrix shape
+// every NLL probe factors.
+linalg::Matrix make_gram(std::size_t n, std::uint64_t seed) {
+  const auto data = make_data(n, 9, seed);
+  gp::SquaredExponentialKernel kernel(0.5, 1.0);
+  linalg::Matrix gram = kernel.gram(data.xs);
+  gram.add_to_diagonal(1e-4);
+  return gram;
+}
+
+// One dense factorization (the cost of one NLL probe of a refit).
+void BM_CholeskyCompute(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const linalg::Matrix gram = make_gram(n, 11);
+  for (auto _ : state) {
+    auto f = linalg::CholeskyFactor::compute(gram);
+    benchmark::DoNotOptimize(f->lower().row(n - 1).data());
+  }
+}
+BENCHMARK(BM_CholeskyCompute)->Arg(200)->Arg(270)->Arg(400);
+
+// Forward solve of 2000 right-hand sides at once (one predict over a pool).
+void BM_SolveLowerMulti(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = 2000;
+  const auto f = linalg::CholeskyFactor::compute(make_gram(n, 12));
+  common::Rng rng(13);
+  linalg::Matrix b(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (double& v : b.row(i)) v = rng.normal();
+  }
+  for (auto _ : state) {
+    const linalg::Matrix v = f->solve_lower_multi(b);
+    benchmark::DoNotOptimize(v.row(n - 1).data());
+  }
+}
+BENCHMARK(BM_SolveLowerMulti)->Arg(270)->Arg(400);
+
+// Posterior cache after an epoch bump: every one of 2000 candidates is stale
+// and is rebuilt against a 270-point GP.
+void BM_PosteriorCacheRebuild(benchmark::State& state) {
+  const auto train = make_data(270, 9, 14);
+  const auto cands = make_data(2000, 9, 15);
+  gp::GaussianProcess model(
+      std::make_unique<gp::SquaredExponentialKernel>(0.5, 1.0), 1e-4);
+  model.fit(train.xs, train.ys);
+  std::vector<std::size_t> ids(cands.xs.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  linalg::Vector means, vars;
+  for (auto _ : state) {
+    gp::PosteriorCache cache;
+    cache.predict(model, ids, cands.xs, means, vars);
+    benchmark::DoNotOptimize(vars.data());
+  }
+}
+BENCHMARK(BM_PosteriorCacheRebuild);
 
 }  // namespace
 

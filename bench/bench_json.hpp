@@ -10,8 +10,8 @@
 #include <clocale>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 namespace ppat::bench {
 
@@ -22,14 +22,19 @@ inline std::string json_double(double v, int precision = 17) {
   if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-  std::string s(buf);
   // Replace the active locale's decimal separator (possibly multi-byte)
   // with '.'. localeconv() never returns null; decimal_point is never empty.
-  const char* dp = std::localeconv()->decimal_point;
-  if (std::strcmp(dp, ".") != 0) {
-    const std::size_t dplen = std::strlen(dp);
-    for (std::size_t pos; (pos = s.find(dp)) != std::string::npos;) {
-      s.replace(pos, dplen, ".");
+  // Copied forward rather than edited with std::string::replace, on which
+  // GCC 12 reports a false -Wrestrict overlap.
+  const std::string_view dp = std::localeconv()->decimal_point;
+  std::string s;
+  for (std::string_view rest = buf; !rest.empty();) {
+    if (rest.starts_with(dp)) {
+      s += '.';
+      rest.remove_prefix(dp.size());
+    } else {
+      s += rest.front();
+      rest.remove_prefix(1);
     }
   }
   return s;

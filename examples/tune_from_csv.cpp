@@ -3,9 +3,11 @@
 // team that has collected tool-run histories as CSVs and wants Pareto
 // configurations for a new task without writing any C++.
 //
-//   tune_from_csv --source data/source2.csv --target data/target2.csv \
-//                 --spaces source2,target2 --objectives power,delay \
+//   tune_from_csv --source data/source2.csv --target data/target2.csv
+//                 --spaces source2,target2 --objectives power,delay
 //                 --budget 70 --seed 1 [--out front.csv] [--compare]
+//
+// (one command line, wrapped here).
 //
 // The CSV format is the one save_benchmark_csv writes (parameter columns in
 // schema order, then area_um2, power_mw, delay_ns). --spaces names the two

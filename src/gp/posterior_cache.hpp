@@ -19,18 +19,21 @@
 // pools.
 //
 // Bit-exactness contract (tested): served means/variances are bit-identical
-// to ExactGp::predict_batch on the same inputs. That holds because every
-// extension step replicates CholeskyFactor::solve_lower_multi's per-column
-// sequence — including its zero-coefficient skip and its multiply by the
-// reciprocal diagonal — and every accumulator is a left fold in ascending
-// row order, the exact order the batch path uses.
+// to ExactGp::predict_batch on the same inputs. That holds because rebuilds
+// ARE solve_lower_multi calls and every extension step replicates its
+// per-column sequence — including its zero-coefficient skip and its multiply
+// by the reciprocal diagonal — and every accumulator is a left fold in
+// ascending row order, the exact order the batch path uses.
 //
 // Invalidation: ExactGp::posterior_epoch() bumps on every full
 // re-factorization (refit, jitter fallback, re-fit from scratch); a bump
-// discards all entries and the next predict() rebuilds them (full forward
-// solves, fanned across the thread pool). Candidate ids absent from a
-// predict() call are evicted — the tuner's alive set only ever shrinks, so
-// an id that leaves the working set never returns.
+// discards all entries and the next predict() rebuilds them. Rebuilds go in
+// panels of up to 64 candidates: one n x w cross-covariance block and one
+// register-tiled CholeskyFactor::solve_lower_multi per panel instead of a
+// forward solve per candidate; blocks of candidates fan out across the
+// thread pool. Candidate ids absent from a predict() call are evicted — the
+// tuner's alive set only ever shrinks, so an id that leaves the working set
+// never returns.
 //
 // The cache reads only the exact-GP engine's posterior internals
 // (gp::ExactGp: factor, alpha, output scale, cross_rows, prior_variance,
@@ -78,14 +81,10 @@ class PosteriorCache {
     variances.resize(ids.size());
     // Candidates are independent; contiguous blocks fan out bit-stably.
     auto process = [&](std::size_t c0, std::size_t c1) {
+      rebuild_stale(model, factor, ids, xs, c0, c1);
       for (std::size_t c = c0; c < c1; ++c) {
         Entry& e = entries_[ids[c]];
-        const linalg::Vector& x = xs[c];
-        if (!e.live) {
-          build(e, model, factor, x, rows);
-        } else if (e.v.size() < rows) {
-          extend(e, model, factor, x, rows);
-        }
+        if (e.v.size() < rows) extend(e, model, factor, xs[c], rows);
         double mu = 0.0;
         for (std::size_t i = 0; i < rows; ++i) mu += e.k_star[i] * alpha[i];
         means[c] = out_mean + out_sd * mu;
@@ -117,18 +116,44 @@ class PosteriorCache {
     bool live = false;
   };
 
-  static void build(Entry& e, const ExactGp& model,
-                    const linalg::CholeskyFactor& factor,
-                    const linalg::Vector& x, std::size_t rows) {
-    e.k_star.resize(rows);
-    model.cross_rows(x, 0, rows, e.k_star.data());
-    e.v.clear();
-    // Full forward solve in solve_lower_multi's exact bits.
-    factor.extend_solve_lower(e.v, std::span<const double>(e.k_star));
-    e.vv = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) e.vv += e.v[i] * e.v[i];
-    e.kxx = model.prior_variance(x);
-    e.live = true;
+  /// Rebuilds the stale entries among candidates [c0, c1) in panels of up
+  /// to kPanel candidates: cross_rows fills an n x w block, one
+  /// solve_lower_multi solves it, and the columns are scattered into the
+  /// entries. A column's solve is extend_solve_lower's sequence, so a panel
+  /// rebuild lands on the bits of a per-candidate one.
+  void rebuild_stale(const ExactGp& model,
+                     const linalg::CholeskyFactor& factor,
+                     const std::vector<std::size_t>& ids,
+                     const std::vector<linalg::Vector>& xs, std::size_t c0,
+                     std::size_t c1) {
+    constexpr std::size_t kPanel = 64;
+    const std::size_t rows = factor.size();
+    std::vector<std::size_t> stale;
+    for (std::size_t c = c0; c < c1; ++c) {
+      if (!entries_[ids[c]].live) stale.push_back(c);
+    }
+    for (std::size_t p0 = 0; p0 < stale.size(); p0 += kPanel) {
+      const std::size_t w = std::min(kPanel, stale.size() - p0);
+      linalg::Matrix block(rows, w);
+      for (std::size_t j = 0; j < w; ++j) {
+        Entry& e = entries_[ids[stale[p0 + j]]];
+        e.k_star.resize(rows);
+        model.cross_rows(xs[stale[p0 + j]], 0, rows, e.k_star.data());
+        for (std::size_t i = 0; i < rows; ++i) block(i, j) = e.k_star[i];
+      }
+      const linalg::Matrix v = factor.solve_lower_multi(block);
+      for (std::size_t j = 0; j < w; ++j) {
+        Entry& e = entries_[ids[stale[p0 + j]]];
+        e.v.resize(rows);
+        e.vv = 0.0;
+        for (std::size_t i = 0; i < rows; ++i) {
+          e.v[i] = v(i, j);
+          e.vv += e.v[i] * e.v[i];
+        }
+        e.kxx = model.prior_variance(xs[stale[p0 + j]]);
+        e.live = true;
+      }
+    }
   }
 
   static void extend(Entry& e, const ExactGp& model,

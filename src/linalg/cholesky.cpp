@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/log.hpp"
@@ -10,26 +11,103 @@
 namespace ppat::linalg {
 namespace {
 
+// The two hot kernels of this file — the elimination's trailing-row update
+// and the multi-RHS forward solve — are written on Vec4, a GCC/Clang vector
+// of four doubles. Its arithmetic is lane-wise IEEE: a lane computes exactly
+// what the scalar statement computes for its element, so a kernel on Vec4
+// keeps every element's reference operation chain and its bits. The type,
+// not the optimizer's cost model, is what vectorizes them: they are vector
+// code at every -O level (GCC 12's -O2 cost model vectorizes none of the
+// equivalent scalar loops).
+//
+// Rules the kernels keep:
+//   * each element subtracts its products with k strictly ascending, as
+//     acc = acc - x * c (no reassociation across k);
+//   * the file is compiled with -ffp-contract=off (see CMakeLists.txt), so
+//     no clone fuses a mul/sub pair into an FMA;
+//   * Vec4 never crosses a call boundary by value (that changes the psABI
+//     between clones and raises -Wpsabi): helpers take references or
+//     pointers and are always_inline;
+//   * the fixed-trip loops over a tile's accumulators carry
+//     `#pragma GCC unroll`: -O2 does not unroll them on its own, and rolled
+//     loops keep the accumulators in memory instead of registers.
+//
+// target_clones: the AVX2/AVX-512 clones (runtime-dispatched) execute a
+// Vec4 operation as one 256-bit instruction, the default clone as two SSE2
+// ones; the roundings are the same. TSan builds take the default clone only:
+// GCC 12's libtsan segfaults before main on the clones' ifunc resolvers.
+using Vec4 = double __attribute__((vector_size(32)));
+
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
+#if __has_attribute(target_clones)
+#define PPAT_SIMD_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef PPAT_SIMD_CLONES
+#define PPAT_SIMD_CLONES
+#endif
+
+/// Doubles per accumulator: 4 for Vec4, 1 for the scalar remainders.
+template <class T>
+constexpr std::size_t kLanes = sizeof(T) / sizeof(double);
+
+/// Unaligned load/store of one accumulator (a single vector move).
+template <class T>
+[[gnu::always_inline]] inline void load(T& dst, const double* src) {
+  std::memcpy(&dst, src, sizeof(T));
+}
+template <class T>
+[[gnu::always_inline]] inline void store(double* dst, const T& src) {
+  std::memcpy(dst, &src, sizeof(T));
+}
+
+/// Phase A register tile of eliminate_columns: V accumulators of T (V *
+/// kLanes<T> consecutive trailing rows) for each of four panel columns, held
+/// in registers across every k < `k_end`. `ct` is the column-major factor
+/// (row k = column k of L), `row` the first trailing row, `col` the first of
+/// the four panel columns, `s` the tile's entry in the stripe of column
+/// `col` (stripes are `m` apart). Element (i, j) takes
+/// s - l(i,k) * l(j,k) for k ascending — the textbook elimination's chain.
+template <class T, std::size_t V>
+[[gnu::always_inline]] inline void tail_tile(const double* ct, std::size_t n,
+                                             std::size_t k_end,
+                                             std::size_t row, std::size_t col,
+                                             double* s, std::size_t m) {
+  constexpr std::size_t L = kLanes<T>;
+  constexpr std::size_t C = 4;
+  T acc[C][V];
+  #pragma GCC unroll 8
+  for (std::size_t c = 0; c < C; ++c) {
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) load(acc[c][u], s + c * m + u * L);
+  }
+  for (std::size_t k = 0; k < k_end; ++k) {
+    const double* ck = ct + k * n;
+    T t[V];
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) load(t[u], ck + row + u * L);
+    #pragma GCC unroll 8
+    for (std::size_t c = 0; c < C; ++c) {
+      const double coef = ck[col + c];
+      #pragma GCC unroll 8
+      for (std::size_t u = 0; u < V; ++u) acc[c][u] = acc[c][u] - t[u] * coef;
+    }
+  }
+  #pragma GCC unroll 8
+  for (std::size_t c = 0; c < C; ++c) {
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) store(s + c * m + u * L, acc[c][u]);
+  }
+}
+
 /// Column-major elimination core of CholeskyFactor::compute(). Returns false
 /// when `a` is not positive definite to working precision. `ct` is an
 /// uninitialized n*n row-major buffer; row k holds column k of L on exit
 /// (entries below the diagonal of L, i.e. ct[k*n + i] with i >= k, are
 /// written; the rest is never touched).
-///
-/// target_clones: the sweeps are plain elementwise mul/sub loops, so the
-/// compiler may emit them at any vector width without changing a single
-/// rounding — the AVX2/AVX-512 clones (runtime-dispatched) just process more
-/// lanes per instruction. AVX-512F carries EVEX fused multiply-add, so this
-/// file is compiled with -ffp-contract=off (see CMakeLists.txt): contraction
-/// would fuse the mul/sub chains and change roundings. TSan builds take the
-/// default clone only: GCC 12's libtsan segfaults before main on the clones'
-/// ifunc resolvers.
-#if defined(__x86_64__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
+PPAT_SIMD_CLONES
 bool eliminate_columns(const Matrix& a, double* const ct) {
   const std::size_t n = a.rows();
   constexpr std::size_t P = 8;  // panel width
@@ -47,66 +125,36 @@ bool eliminate_columns(const Matrix& a, double* const ct) {
       double* __restrict sq = sbuf.data() + q * m;
       for (std::size_t i = 0; i < m; ++i) sq[i] = aj[j1 + i];
     }
-    // Phase A: contributions of columns k < j0. Each ct row is streamed once
-    // per PANEL (serving all p columns) rather than once per column, and its
-    // p coefficients ct[k*n + j0..j1) share a cache line — that is the whole
-    // win over the column-at-a-time sweep. Four k-steps are fused per pass so
-    // the accumulators are loaded/stored once per four multiply-subtracts.
-    // Every element still subtracts its l(i,k) * l(j,k) terms with k strictly
-    // ascending, exactly the compute_reference() chain.
-    std::size_t k = 0;
-    for (; k + 4 <= j0; k += 4) {
-      const double* __restrict k0 = ct + k * n;
-      const double* __restrict k1 = ct + (k + 1) * n;
-      const double* __restrict k2 = ct + (k + 2) * n;
-      const double* __restrict k3 = ct + (k + 3) * n;
-      for (std::size_t q = 0; q < p; ++q) {
-        const double c0 = k0[j0 + q], c1 = k1[j0 + q];
-        const double c2 = k2[j0 + q], c3 = k3[j0 + q];
-        for (std::size_t r = q; r < p; ++r) {
-          w[q][r] = (((w[q][r] - c0 * k0[j0 + r]) - c1 * k1[j0 + r]) -
-                     c2 * k2[j0 + r]) -
-                    c3 * k3[j0 + r];
-        }
-      }
-      const double* __restrict t0 = k0 + j1;
-      const double* __restrict t1 = k1 + j1;
-      const double* __restrict t2 = k2 + j1;
-      const double* __restrict t3 = k3 + j1;
-      // Two panel columns per pass: the four row loads are shared between the
-      // two accumulator streams (each element's own chain is untouched).
-      std::size_t q = 0;
-      for (; q + 2 <= p; q += 2) {
-        const double c00 = k0[j0 + q], c01 = k1[j0 + q];
-        const double c02 = k2[j0 + q], c03 = k3[j0 + q];
-        const double c10 = k0[j0 + q + 1], c11 = k1[j0 + q + 1];
-        const double c12 = k2[j0 + q + 1], c13 = k3[j0 + q + 1];
-        double* __restrict s0 = sbuf.data() + q * m;
-        double* __restrict s1 = sbuf.data() + (q + 1) * m;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double a0 = t0[i], a1 = t1[i], a2 = t2[i], a3 = t3[i];
-          s0[i] = (((s0[i] - a0 * c00) - a1 * c01) - a2 * c02) - a3 * c03;
-          s1[i] = (((s1[i] - a0 * c10) - a1 * c11) - a2 * c12) - a3 * c13;
-        }
-      }
-      for (; q < p; ++q) {
-        const double c0 = k0[j0 + q], c1 = k1[j0 + q];
-        const double c2 = k2[j0 + q], c3 = k3[j0 + q];
-        double* __restrict sq = sbuf.data() + q * m;
-        for (std::size_t i = 0; i < m; ++i) {
-          sq[i] =
-              (((sq[i] - t0[i] * c0) - t1[i] * c1) - t2[i] * c2) - t3[i] * c3;
-        }
-      }
-    }
-    for (; k < j0; ++k) {
-      const double* __restrict ck = ct + k * n;
+    // Phase A: contributions of the already-factored columns k < j0, in
+    // ascending k for every element. The diagonal block takes them one k at
+    // a time.
+    for (std::size_t k = 0; k < j0; ++k) {
+      const double* ck = ct + k * n;
       for (std::size_t q = 0; q < p; ++q) {
         const double c = ck[j0 + q];
         for (std::size_t r = q; r < p; ++r) w[q][r] -= c * ck[j0 + r];
-        double* __restrict sq = sbuf.data() + q * m;
-        const double* __restrict tk = ck + j1;
-        for (std::size_t i = 0; i < m; ++i) sq[i] -= tk[i] * c;
+      }
+    }
+    // The trailing rows go in register tiles of 8 rows x 4 panel columns
+    // (then 4 rows, then single rows): a tile's 32 accumulators stay in
+    // registers for the whole k sweep, so each ct entry is loaded once per
+    // tile instead of once per multiply-subtract. Trailing rows exist only
+    // when the panel is full (p == P).
+    double* const s = sbuf.data();
+    std::size_t t = 0;
+    for (; t + 2 * kLanes<Vec4> <= m; t += 2 * kLanes<Vec4>) {
+      for (std::size_t q0 = 0; q0 < P; q0 += 4) {
+        tail_tile<Vec4, 2>(ct, n, j0, j1 + t, j0 + q0, s + q0 * m + t, m);
+      }
+    }
+    for (; t + kLanes<Vec4> <= m; t += kLanes<Vec4>) {
+      for (std::size_t q0 = 0; q0 < P; q0 += 4) {
+        tail_tile<Vec4, 1>(ct, n, j0, j1 + t, j0 + q0, s + q0 * m + t, m);
+      }
+    }
+    for (; t < m; ++t) {
+      for (std::size_t q0 = 0; q0 < P; q0 += 4) {
+        tail_tile<double, 1>(ct, n, j0, j1 + t, j0 + q0, s + q0 * m + t, m);
       }
     }
     // Phase B: factorize the panel itself. After column j0+q is finalized its
@@ -136,19 +184,120 @@ bool eliminate_columns(const Matrix& a, double* const ct) {
   return true;
 }
 
+/// Forward-solve register tile: rows [i0, i0 + R) of V * kLanes<T>
+/// consecutive columns; `v` points at the tile's first column in row 0 of
+/// the row-major right-hand sides (`ld` doubles per row), whose rows above
+/// i0 are already solved. Every element takes b - l(i,k) * v(k) for k
+/// ascending, skipping exact-zero l(i,k) (the coefficient is shared by all
+/// lanes, so the skip is per element exact), then one multiply by the
+/// reciprocal diagonal — the sequence of extend_solve_lower.
+template <class T, std::size_t R, std::size_t V>
+[[gnu::always_inline]] inline void solve_tile(const Matrix& l, double* v,
+                                              std::size_t ld,
+                                              std::size_t i0) {
+  constexpr std::size_t L = kLanes<T>;
+  T acc[R][V];
+  const double* lr[R];
+  #pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    lr[r] = l.row(i0 + r).data();
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) {
+      load(acc[r][u], v + (i0 + r) * ld + u * L);
+    }
+  }
+  for (std::size_t k = 0; k < i0; ++k) {
+    T x[V];
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) load(x[u], v + k * ld + u * L);
+    #pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const double lik = lr[r][k];
+      if (lik == 0.0) continue;
+      #pragma GCC unroll 8
+      for (std::size_t u = 0; u < V; ++u) acc[r][u] = acc[r][u] - x[u] * lik;
+    }
+  }
+  // The tile's own triangle: row r takes rows i0..i0+r-1 (still ascending
+  // k) once they are final.
+  #pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    #pragma GCC unroll 8
+    for (std::size_t r2 = 0; r2 < r; ++r2) {
+      const double lik = lr[r][i0 + r2];
+      if (lik == 0.0) continue;
+      #pragma GCC unroll 8
+      for (std::size_t u = 0; u < V; ++u) {
+        acc[r][u] = acc[r][u] - acc[r2][u] * lik;
+      }
+    }
+    const double inv = 1.0 / lr[r][i0 + r];
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) acc[r][u] = acc[r][u] * inv;
+  }
+  #pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    #pragma GCC unroll 8
+    for (std::size_t u = 0; u < V; ++u) {
+      store(v + (i0 + r) * ld + u * L, acc[r][u]);
+    }
+  }
+}
+
+/// Every row of the V * kLanes<T> columns at `v`: 4-row tiles from the
+/// top, then one tile for the last 1-3 rows.
+template <class T, std::size_t V>
+[[gnu::always_inline]] inline void solve_column_tile(const Matrix& l,
+                                                     double* v,
+                                                     std::size_t ld) {
+  const std::size_t n = l.rows();
+  std::size_t i0 = 0;
+  for (; i0 + 4 <= n; i0 += 4) solve_tile<T, 4, V>(l, v, ld, i0);
+  switch (n - i0) {
+    case 3:
+      solve_tile<T, 3, V>(l, v, ld, i0);
+      break;
+    case 2:
+      solve_tile<T, 2, V>(l, v, ld, i0);
+      break;
+    case 1:
+      solve_tile<T, 1, V>(l, v, ld, i0);
+      break;
+    default:
+      break;
+  }
+}
+
+/// Solves L V = B in place for columns [j0, j1) of `v` (which holds B), one
+/// column tile at a time: 8 columns, then 4, then single columns. A tile's
+/// n x 8 slice of V stays cache-resident while L streams past it once.
+PPAT_SIMD_CLONES
+void forward_solve_columns(const Matrix& l, Matrix& v, std::size_t j0,
+                           std::size_t j1) {
+  double* const base = v.data().data();
+  const std::size_t ld = v.cols();
+  std::size_t j = j0;
+  for (; j + 2 * kLanes<Vec4> <= j1; j += 2 * kLanes<Vec4>) {
+    solve_column_tile<Vec4, 2>(l, base + j, ld);
+  }
+  for (; j + kLanes<Vec4> <= j1; j += kLanes<Vec4>) {
+    solve_column_tile<Vec4, 1>(l, base + j, ld);
+  }
+  for (; j < j1; ++j) solve_column_tile<double, 1>(l, base + j, ld);
+}
+
 }  // namespace
 
 std::optional<CholeskyFactor> CholeskyFactor::compute(const Matrix& a) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
   // Work in a column-major factor: row k of the ct buffer holds column k of
-  // L. The reference elimination is latency-bound — each element's accumulator is a
-  // serial dependence chain that cannot be reassociated without changing the
-  // rounding. Reordering the loops into panel-wide elementwise streaming
-  // sweeps (see eliminate_columns) keeps every element's chain in ascending-k
-  // order — exactly the compute_reference() sequence — while letting the
-  // compiler vectorize across elements. Bit-identical factors, several times
-  // the throughput.
+  // L. The reference elimination is latency-bound — each element's
+  // accumulator is a serial dependence chain that cannot be reassociated
+  // without changing the rounding. eliminate_columns instead updates many
+  // elements at once in vector register tiles, each element's chain still in
+  // ascending-k order — exactly the reference sequence — so the factor is
+  // bit-identical, at several times the throughput.
   const auto ct = std::make_unique_for_overwrite<double[]>(n * n);
   if (!eliminate_columns(a, ct.get())) return std::nullopt;
   // Transpose back to the row-major lower factor the solves expect
@@ -163,30 +312,6 @@ std::optional<CholeskyFactor> CholeskyFactor::compute(const Matrix& a) {
         const std::size_t jmax = std::min(i + 1, jb + kBlock);
         for (std::size_t j = jb; j < jmax; ++j) li[j] = ct[j * n + i];
       }
-    }
-  }
-  return CholeskyFactor(std::move(l), 0.0);
-}
-
-std::optional<CholeskyFactor> CholeskyFactor::compute_reference(
-    const Matrix& a) {
-  assert(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) return std::nullopt;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      // Inner product over the already-computed columns; rows are contiguous.
-      const auto li = l.row(i);
-      const auto lj = l.row(j);
-      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
-      l(i, j) = s * inv;
     }
   }
   return CholeskyFactor(std::move(l), 0.0);
@@ -295,18 +420,7 @@ Matrix CholeskyFactor::solve_lower_multi(const Matrix& b) const {
   // contiguous blocks with no cross-block data flow: each element's update
   // sequence is identical for any partition (bit-identical results).
   auto solve_columns = [&](std::size_t j0, std::size_t j1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double* vi = v.row(i).data();
-      const auto li = l_.row(i);
-      for (std::size_t k = 0; k < i; ++k) {
-        const double lik = li[k];
-        if (lik == 0.0) continue;
-        const double* vk = v.row(k).data();
-        for (std::size_t j = j0; j < j1; ++j) vi[j] -= lik * vk[j];
-      }
-      const double inv = 1.0 / li[i];
-      for (std::size_t j = j0; j < j1; ++j) vi[j] *= inv;
-    }
+    forward_solve_columns(l_, v, j0, j1);
   };
   // Threshold: a block must amortize the fork/join; 32 columns of an O(n^2)
   // substitution is comfortably past that for the n >= 64 systems GP

@@ -23,18 +23,15 @@ class CholeskyFactor {
   /// matrices may skip populating the strictly-lower part. Returns nullopt if
   /// `a` is not positive definite to working precision.
   ///
-  /// The elimination works column-major on panels of eight columns: each
-  /// already-factored column is streamed once per panel (instead of once per
-  /// column) through vectorizable elementwise sweeps, with AVX-512 and AVX2
-  /// clones dispatched at runtime where available. Every element still performs
-  /// exactly the reference sequence s -= l(i,k) * l(j,k) with k ascending and
-  /// no FMA contraction, so the factor is bit-for-bit identical to
-  /// compute_reference() (asserted by tests).
+  /// The elimination works column-major on panels of eight columns and
+  /// updates the trailing rows in vector register tiles (8 rows x 4 panel
+  /// columns), with AVX-512 and AVX2 clones dispatched at runtime where
+  /// available. Every element still performs exactly the textbook sequence
+  /// s -= l(i,k) * l(j,k) with k ascending, no FMA contraction, then one
+  /// multiply by the reciprocal diagonal, so the factor is bit-for-bit that
+  /// of the scalar reference elimination (tests/reference_cholesky.hpp;
+  /// asserted by tests).
   static std::optional<CholeskyFactor> compute(const Matrix& a);
-
-  /// Textbook scalar elimination — the pre-optimization implementation,
-  /// retained as the bit-exactness oracle for tests.
-  static std::optional<CholeskyFactor> compute_reference(const Matrix& a);
 
   /// Factors `a + jitter*I`, escalating jitter by 10x up to `max_jitter`
   /// starting at `initial_jitter` (0 means: first try no jitter). Returns
@@ -69,12 +66,13 @@ class CholeskyFactor {
   /// Solves A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
 
-  /// Solves L V = B for many right-hand sides at once (B is n x m). The
-  /// inner loop runs contiguously over columns, which is what makes batched
-  /// GP variance prediction affordable. Column blocks run on the global
-  /// thread pool above a size threshold; each column's arithmetic is
-  /// independent of the partition, so results are bit-identical for any
-  /// thread count.
+  /// Solves L V = B for many right-hand sides at once (B is n x m), in
+  /// vector register tiles of 4 rows x 8 columns, which is what makes
+  /// batched GP variance prediction affordable. Each column takes exactly
+  /// extend_solve_lower's sequence, so its bits do not depend on the tiling.
+  /// Column blocks run on the calling thread's pool above a size threshold;
+  /// each column's arithmetic is independent of the partition, so results
+  /// are bit-identical for any thread count.
   Matrix solve_lower_multi(const Matrix& b) const;
 
   /// Extends a forward-substitution solution of L y = b in place: `y`

@@ -22,12 +22,14 @@ const char* output_pin_name(const Cell& cell) {
   return cell.sequential ? "Q" : "Y";
 }
 
-std::string net_name(const Netlist& nl, NetId id,
-                     const std::map<NetId, std::size_t>& pi_index) {
-  if (auto it = pi_index.find(id); it != pi_index.end()) {
-    return "pi" + std::to_string(it->second);
-  }
-  return "n" + std::to_string(id);
+std::string net_name(NetId id, const std::map<NetId, std::size_t>& pi_index) {
+  // Built by construct-then-append: GCC 12 reports a false -Wrestrict
+  // overlap inside `"pi" + std::to_string(...)` and string assignment.
+  const auto it = pi_index.find(id);
+  const bool is_pi = it != pi_index.end();
+  std::string name(is_pi ? "pi" : "n");
+  name += std::to_string(is_pi ? it->second : std::size_t{id});
+  return name;
 }
 
 }  // namespace
@@ -43,7 +45,7 @@ void write_verilog(const Netlist& nl, const std::string& module_name,
   // Header with the port list: clk, inputs, outputs.
   out << "module " << module_name << " (clk";
   for (std::size_t k = 0; k < pi_index.size(); ++k) out << ", pi" << k;
-  for (NetId po : pos) out << ", " << net_name(nl, po, pi_index);
+  for (NetId po : pos) out << ", " << net_name(po, pi_index);
   out << ");\n";
   out << "  input clk;\n";
   for (std::size_t k = 0; k < pi_index.size(); ++k) {
@@ -54,14 +56,14 @@ void write_verilog(const Netlist& nl, const std::string& module_name,
       throw std::runtime_error(
           "write_verilog: net is both primary input and output");
     }
-    out << "  output " << net_name(nl, po, pi_index) << ";\n";
+    out << "  output " << net_name(po, pi_index) << ";\n";
   }
   // Wire declarations: every connected, non-port net.
   for (NetId id = 0; id < nl.num_nets(); ++id) {
     const Net& net = nl.net(id);
     if (pi_index.count(id) != 0 || net.is_primary_output) continue;
     if (net.driver == kInvalidId && net.sinks.empty()) continue;  // floating
-    out << "  wire " << net_name(nl, id, pi_index) << ";\n";
+    out << "  wire " << net_name(id, pi_index) << ";\n";
   }
 
   // Instances in id order.
@@ -71,11 +73,11 @@ void write_verilog(const Netlist& nl, const std::string& module_name,
     out << "  " << cell.name << " u" << i << " (";
     for (std::size_t pin = 0; pin < inst.fanins.size(); ++pin) {
       out << "." << input_pin_name(cell, pin) << "("
-          << net_name(nl, inst.fanins[pin], pi_index) << "), ";
+          << net_name(inst.fanins[pin], pi_index) << "), ";
     }
     if (cell.sequential) out << ".CK(clk), ";
     out << "." << output_pin_name(cell) << "("
-        << net_name(nl, inst.fanout, pi_index) << "));\n";
+        << net_name(inst.fanout, pi_index) << "));\n";
   }
   out << "endmodule\n";
 }

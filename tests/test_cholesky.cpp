@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
+#include "reference_cholesky.hpp"
 
 namespace ppat::linalg {
 namespace {
@@ -17,6 +21,36 @@ Matrix random_spd(std::size_t n, common::Rng& rng) {
   Matrix spd = a * a.transposed();
   spd.add_to_diagonal(static_cast<double>(n));  // well-conditioned
   return spd;
+}
+
+/// Bit patterns, so that -0.0 differs from +0.0 and NaNs compare.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// B (n x m) solved column by column with extend_solve_lower: the bitwise
+/// reference of solve_lower_multi.
+Matrix solve_by_columns(const CholeskyFactor& f, const Matrix& b) {
+  Matrix v(b.rows(), b.cols());
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    Vector col(b.rows());
+    for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
+    Vector y;
+    f.extend_solve_lower(y, col);
+    for (std::size_t i = 0; i < b.rows(); ++i) v(i, j) = y[i];
+  }
+  return v;
+}
+
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const char* what) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      ASSERT_EQ(bits(got(i, j)), bits(want(i, j)))
+          << what << " " << want.rows() << "x" << want.cols() << " (" << i
+          << "," << j << "): " << got(i, j) << " vs " << want(i, j);
+    }
+  }
 }
 
 TEST(Cholesky, ReconstructsMatrix) {
@@ -103,20 +137,81 @@ TEST(Cholesky, SolveLowerAndUpperAreInverses) {
 }
 
 TEST(Cholesky, SolveLowerMultiMatchesSingle) {
+  // 9 rows x 11 columns: two 4-row tiles and a 1-row remainder, over an
+  // 8-column tile and three single columns.
   common::Rng rng(6);
   const Matrix a = random_spd(9, rng);
   const auto f = CholeskyFactor::compute(a);
   ASSERT_TRUE(f.has_value());
-  Matrix b(9, 4);
+  Matrix b(9, 11);
   for (std::size_t i = 0; i < 9; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) b(i, j) = rng.normal();
+    for (std::size_t j = 0; j < 11; ++j) b(i, j) = rng.normal();
   }
   const Matrix v = f->solve_lower_multi(b);
-  for (std::size_t j = 0; j < 4; ++j) {
+  expect_same_bits(v, solve_by_columns(*f, b), "solve_lower_multi");
+  // solve_lower divides by the diagonal instead of multiplying by its
+  // reciprocal, so it agrees to rounding only.
+  for (std::size_t j = 0; j < 11; ++j) {
     Vector col(9);
     for (std::size_t i = 0; i < 9; ++i) col[i] = b(i, j);
     const Vector single = f->solve_lower(col);
     for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(v(i, j), single[i], 1e-10);
+  }
+}
+
+TEST(Cholesky, SolveLowerMultiBitIdenticalAtEveryTileRemainder) {
+  // Widths cover the 8-column tile, the 4-column tile and 1-3 single
+  // columns in every combination; the row counts cover 4-row tiles with a
+  // remainder of 0-3 rows.
+  common::Rng rng(13);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 38u}) {
+    const auto f = CholeskyFactor::compute(random_spd(n, rng));
+    ASSERT_TRUE(f.has_value());
+    for (std::size_t m :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 15u,
+          16u, 17u, 63u, 64u, 65u}) {
+      Matrix b(n, m);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (double& x : b.row(i)) x = rng.normal();
+      }
+      expect_same_bits(f->solve_lower_multi(b), solve_by_columns(*f, b),
+                       "solve_lower_multi");
+    }
+  }
+}
+
+TEST(Cholesky, SolveLowerMultiKeepsTheZeroCoefficientSkip) {
+  // Block-diagonal A: L has exact zeros between the blocks. Infinite
+  // right-hand sides in the first block make its solution non-finite; the
+  // second block never multiplies by those entries (0 * inf would be NaN),
+  // so it stays finite — in the per-column reference and in every tile.
+  common::Rng rng(14);
+  const std::size_t n1 = 5, n = 23, m = 21;
+  const Matrix s1 = random_spd(n1, rng);
+  const Matrix s2 = random_spd(n - n1, rng);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n1; ++i) {
+    for (std::size_t j = 0; j < n1; ++j) a(i, j) = s1(i, j);
+  }
+  for (std::size_t i = n1; i < n; ++i) {
+    for (std::size_t j = n1; j < n; ++j) a(i, j) = s2(i - n1, j - n1);
+  }
+  const auto f = CholeskyFactor::compute(a);
+  ASSERT_TRUE(f.has_value());
+  ASSERT_EQ(f->lower()(n1, 0), 0.0);
+  Matrix b(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (double& x : b.row(i)) x = rng.normal();
+  }
+  for (std::size_t j = 0; j < m; j += 2) {
+    b(0, j) = std::numeric_limits<double>::infinity();
+  }
+  const Matrix v = f->solve_lower_multi(b);
+  expect_same_bits(v, solve_by_columns(*f, b), "solve_lower_multi");
+  for (std::size_t i = n1; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_TRUE(std::isfinite(v(i, j))) << i << "," << j;
+    }
   }
 }
 
@@ -130,19 +225,22 @@ TEST(Cholesky, InverseTimesMatrixIsIdentity) {
 }
 
 TEST(Cholesky, UnrolledComputeMatchesReferenceBitwise) {
-  // The unroll-and-jam elimination must be a pure scheduling change: same
-  // per-element operation sequence, so bit-identical factors at every size
-  // (covering all remainder cases of the 4-row unroll).
+  // The tiled elimination must be a pure scheduling change: same
+  // per-element operation sequence as the textbook loop, so bit-identical
+  // factors at every size — covering partial last panels, 8-row and 4-row
+  // tiles and 1-3 single trailing rows.
   common::Rng rng(12);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u, 32u, 65u}) {
+  for (std::size_t n : {1u,  2u,  3u,  4u,  5u,  6u,  7u,  8u,   9u,   10u,
+                        11u, 12u, 13u, 14u, 15u, 16u, 17u, 31u,  32u,  33u,
+                        63u, 64u, 65u, 200u, 271u, 460u}) {
     const Matrix a = random_spd(n, rng);
     const auto fast = CholeskyFactor::compute(a);
-    const auto ref = CholeskyFactor::compute_reference(a);
+    const auto ref = testing::reference_cholesky(a);
     ASSERT_TRUE(fast.has_value());
     ASSERT_TRUE(ref.has_value());
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
-        EXPECT_EQ(fast->lower()(i, j), ref->lower()(i, j))
+        ASSERT_EQ(bits(fast->lower()(i, j)), bits((*ref)(i, j)))
             << "n=" << n << " (" << i << "," << j << ")";
       }
     }
@@ -152,7 +250,7 @@ TEST(Cholesky, UnrolledComputeMatchesReferenceBitwise) {
 TEST(Cholesky, UnrolledComputeRejectsSameMatrices) {
   const Matrix indefinite = {{1.0, 2.0}, {2.0, 1.0}};
   EXPECT_FALSE(CholeskyFactor::compute(indefinite).has_value());
-  EXPECT_FALSE(CholeskyFactor::compute_reference(indefinite).has_value());
+  EXPECT_FALSE(testing::reference_cholesky(indefinite).has_value());
 }
 
 TEST(CholeskyAppend, MatchesFullFactorizationBitwise) {

@@ -174,6 +174,47 @@ TEST(PosteriorCacheTest, TransferGpLifecycleBitIdentical) {
   expect_cache_matches(cache, model, ids, cands);
 }
 
+TEST(PosteriorCacheTest, PanelRebuildsBitIdenticalAtEveryPanelRemainder) {
+  // Rebuilds go in panels of up to 64 candidates; counts around the panel
+  // width and the 512-candidate fan-out, with a 43-row factor (4-row tiles
+  // plus a 3-row remainder). Each round serves a mix: entries cached by an
+  // earlier call on a subset (extended after an append) next to stale ones
+  // rebuilt in panels.
+  common::Rng rng(10);
+  const auto train = draw_points(42, rng);
+  for (std::size_t count : {1u, 7u, 64u, 65u, 513u}) {
+    GaussianProcess model(
+        std::make_unique<SquaredExponentialKernel>(0.3, 1.0), 1e-4);
+    model.fit(train, responses(train));
+    const auto cands = draw_points(count, rng);
+    std::vector<std::size_t> ids(count);
+    std::iota(ids.begin(), ids.end(), 0);
+    std::vector<std::size_t> some_ids;
+    std::vector<linalg::Vector> some_xs;
+    for (std::size_t c = 0; c < count; c += 3) {
+      some_ids.push_back(c);
+      some_xs.push_back(cands[c]);
+    }
+    PosteriorCache cache;
+    expect_cache_matches(cache, model, some_ids, some_xs);
+    const auto epoch = model.posterior_epoch();
+    const auto extra = draw_points(1, rng).front();
+    model.add_observation(extra, response(extra));
+    ASSERT_EQ(model.posterior_epoch(), epoch);  // cached entries stay live
+    ASSERT_EQ(model.factor().size(), 43u);
+    expect_cache_matches(cache, model, ids, cands);
+    EXPECT_EQ(cache.cached_entries(), count);
+    // Epoch bump: every entry is stale and rebuilt in panels.
+    common::Rng fit_rng(11);
+    FitOptions fit_opt;
+    fit_opt.restarts = 1;
+    fit_opt.max_evals = 20;
+    model.optimize_hyperparameters(fit_rng, fit_opt);
+    ASSERT_GT(model.posterior_epoch(), epoch);
+    expect_cache_matches(cache, model, ids, cands);
+  }
+}
+
 TEST(PosteriorCacheTest, ExtendSolveLowerMatchesFullSolve) {
   // The cholesky primitive the cache is built on: growing a solution row by
   // row across append_row calls lands on the same bits as one full
