@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "baselines/reveal_log.hpp"
 #include "tree/regression_tree.hpp"
 
 namespace ppat::baselines {
@@ -40,17 +41,14 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
   const std::size_t d = pool.encoded().front().size();
   common::Rng rng(options.seed);
 
-  std::vector<bool> revealed(n, false);
-  std::vector<std::size_t> revealed_list;
+  RevealLog log(pool);
   std::vector<linalg::Vector> train_x;
   std::vector<linalg::Vector> train_y(n_obj);
   auto reveal = [&](std::size_t i) {
-    const pareto::Point y = pool.reveal(i);
-    revealed[i] = true;
-    revealed_list.push_back(i);
-    train_x.push_back(pool.encoded()[i]);
-    for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back(y[k]);
-    return y;
+    if (const auto y = log.reveal(i)) {
+      train_x.push_back(pool.encoded()[i]);
+      for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back((*y)[k]);
+    }
   };
 
   // ---- Phase 1-2: importance-guided model-less exploration ----
@@ -105,15 +103,16 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
     bool progressed = false;
     for (auto& members : group_list) {
       if (cursor < members.size() && pool.runs() < explore_budget) {
-        if (!revealed[members[cursor]]) {
+        if (!log.spent(members[cursor])) {
           reveal(members[cursor]);
-          progressed = true;
+          progressed = true;  // a permanently failed reveal counts too
         }
       }
     }
     ++cursor;
     if (!progressed && cursor > n) break;
   }
+  log.require_a_success("run_aspdac20");
 
   // ---- Phase 3: tree-model exploitation ----
   tree::BoostingOptions bo;
@@ -128,7 +127,7 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
     std::vector<std::size_t> unrevealed_idx;
     std::vector<pareto::Point> predicted;
     for (std::size_t i = 0; i < n; ++i) {
-      if (revealed[i]) continue;
+      if (log.spent(i)) continue;
       unrevealed_idx.push_back(i);
       pareto::Point p(n_obj);
       for (std::size_t k = 0; k < n_obj; ++k) {
@@ -148,16 +147,7 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
     }
   }
 
-  // ---- Answer: Pareto front of the evaluated set ----
-  std::vector<pareto::Point> evaluated;
-  evaluated.reserve(revealed_list.size());
-  for (std::size_t i : revealed_list) evaluated.push_back(pool.reveal(i));
-  tuner::TuningResult result;
-  for (std::size_t f : pareto::pareto_front_indices(evaluated)) {
-    result.pareto_indices.push_back(revealed_list[f]);
-  }
-  result.tool_runs = pool.runs();
-  return result;
+  return log.answer();
 }
 
 }  // namespace ppat::baselines

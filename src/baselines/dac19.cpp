@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baselines/reveal_log.hpp"
 #include "mf/matrix_factorization.hpp"
 
 namespace ppat::baselines {
@@ -62,16 +63,13 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
     }
   }
 
-  std::vector<bool> revealed(n, false);
-  std::vector<std::size_t> revealed_list;
+  RevealLog log(pool);
   auto reveal = [&](std::size_t i) {
-    const pareto::Point y = pool.reveal(i);
-    revealed[i] = true;
-    revealed_list.push_back(i);
-    for (std::size_t k = 0; k < n_obj; ++k) {
-      observed[k].push_back({1, i, y[k]});
+    if (const auto y = log.reveal(i)) {
+      for (std::size_t k = 0; k < n_obj; ++k) {
+        observed[k].push_back({1, i, (*y)[k]});
+      }
     }
-    return y;
   };
 
   const std::size_t init_count = std::min(
@@ -82,6 +80,7 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
   for (std::size_t i : rng.sample_without_replacement(n, init_count)) {
     reveal(i);
   }
+  log.require_a_success("run_dac19");
 
   mf::MfOptions mf_opt;
   mf_opt.factors = options.factors;
@@ -99,7 +98,7 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
     std::vector<std::size_t> unrevealed_idx;
     std::vector<pareto::Point> predicted;
     for (std::size_t i = 0; i < n; ++i) {
-      if (revealed[i]) continue;
+      if (log.spent(i)) continue;
       unrevealed_idx.push_back(i);
       pareto::Point p(n_obj);
       for (std::size_t k = 0; k < n_obj; ++k) p[k] = models[k].predict(1, i);
@@ -126,21 +125,12 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
         pick = front[front_cursor++];
       }
       const std::size_t candidate = unrevealed_idx[pick];
-      if (revealed[candidate]) continue;  // duplicate random pick
+      if (log.spent(candidate)) continue;  // duplicate random pick
       reveal(candidate);
     }
   }
 
-  // ---- Answer: Pareto front of the evaluated set ----
-  std::vector<pareto::Point> evaluated;
-  evaluated.reserve(revealed_list.size());
-  for (std::size_t i : revealed_list) evaluated.push_back(pool.reveal(i));
-  tuner::TuningResult result;
-  for (std::size_t f : pareto::pareto_front_indices(evaluated)) {
-    result.pareto_indices.push_back(revealed_list[f]);
-  }
-  result.tool_runs = pool.runs();
-  return result;
+  return log.answer();
 }
 
 }  // namespace ppat::baselines

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "gp/gp.hpp"
+#include "baselines/reveal_log.hpp"
 #include "tuner/surrogate.hpp"
 
 namespace ppat::baselines {
@@ -25,22 +24,21 @@ tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
                    static_cast<std::size_t>(options.init_fraction *
                                             static_cast<double>(n))),
        options.budget});
+  RevealLog log(pool);
   std::vector<linalg::Vector> train_x;
   std::vector<linalg::Vector> train_y(n_obj);
-  std::vector<bool> revealed(n, false);
-  std::vector<std::size_t> revealed_list;
-
   auto reveal = [&](std::size_t i) {
-    const pareto::Point y = pool.reveal(i);
-    revealed[i] = true;
-    revealed_list.push_back(i);
-    train_x.push_back(pool.encoded()[i]);
-    for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back(y[k]);
+    const auto y = log.reveal(i);
+    if (y) {
+      train_x.push_back(pool.encoded()[i]);
+      for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back((*y)[k]);
+    }
     return y;
   };
   for (std::size_t i : rng.sample_without_replacement(n, init_count)) {
     reveal(i);
   }
+  log.require_a_success("run_mlcad19");
 
   std::vector<tuner::PlainGpSurrogate> models(n_obj);
   for (std::size_t k = 0; k < n_obj; ++k) {
@@ -58,7 +56,7 @@ tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
     unrevealed_x.clear();
     unrevealed_idx.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (!revealed[i]) {
+      if (!log.spent(i)) {
         unrevealed_idx.push_back(i);
         unrevealed_x.push_back(pool.encoded()[i]);
       }
@@ -82,29 +80,19 @@ tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
       for (double& v : lcb[k]) v = (v - best) / span;
     }
 
-    // Batch of selections with independent random scalarizations.
+    // Batch of the best equal-weight LCB sums.
     const std::size_t batch = std::min(
         {options.batch_size, unrevealed_idx.size(),
          options.budget - pool.runs()});
+    const double w = 1.0 / static_cast<double>(n_obj);
     std::vector<bool> taken(unrevealed_idx.size(), false);
     for (std::size_t b = 0; b < batch; ++b) {
-      linalg::Vector w(n_obj, 1.0 / static_cast<double>(n_obj));
-      if (options.scalarization == Scalarization::kRandomWeights) {
-        // Uniform weights on the simplex (normalized exponentials).
-        double sum = 0.0;
-        for (double& x : w) {
-          x = -std::log(std::max(1e-300, rng.uniform01()));
-          sum += x;
-        }
-        for (double& x : w) x /= sum;
-      }
-
       std::size_t best_c = 0;
       double best_score = 1e300;
       for (std::size_t c = 0; c < unrevealed_idx.size(); ++c) {
         if (taken[c]) continue;
         double score = 0.0;
-        for (std::size_t k = 0; k < n_obj; ++k) score += w[k] * lcb[k][c];
+        for (std::size_t k = 0; k < n_obj; ++k) score += w * lcb[k][c];
         if (score < best_score) {
           best_score = score;
           best_c = c;
@@ -112,9 +100,10 @@ tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
       }
       taken[best_c] = true;
       const std::size_t i = unrevealed_idx[best_c];
-      const pareto::Point y = reveal(i);
-      for (std::size_t k = 0; k < n_obj; ++k) {
-        models[k].add_observation(pool.encoded()[i], y[k]);
+      if (const auto y = reveal(i)) {
+        for (std::size_t k = 0; k < n_obj; ++k) {
+          models[k].add_observation(pool.encoded()[i], (*y)[k]);
+        }
       }
     }
 
@@ -123,16 +112,7 @@ tuner::TuningResult run_mlcad19(tuner::CandidatePool& pool,
     }
   }
 
-  // ---- Answer: Pareto front of the evaluated set ----
-  std::vector<pareto::Point> evaluated;
-  evaluated.reserve(revealed_list.size());
-  for (std::size_t i : revealed_list) evaluated.push_back(pool.reveal(i));
-  tuner::TuningResult result;
-  for (std::size_t f : pareto::pareto_front_indices(evaluated)) {
-    result.pareto_indices.push_back(revealed_list[f]);
-  }
-  result.tool_runs = pool.runs();
-  return result;
+  return log.answer();
 }
 
 }  // namespace ppat::baselines

@@ -4,12 +4,10 @@
 //
 // The original is a single-objective BO flow; for multiple QoR metrics it
 // minimizes a fixed equal-weight sum of the normalized per-objective LCB
-// scores (mu - kappa * sigma) — the straightforward "classical BO" reading,
-// and the faithful default here. A random-scalarization variant (a ParEGO-
-// style strengthening that redraws simplex weights per selection and covers
-// the front better) is provided for comparison. The method uses only
-// target-task data (no transfer) and runs to a fixed evaluation budget; its
-// answer is the Pareto front of everything it evaluated.
+// scores (mu - kappa * sigma) — the straightforward "classical BO" reading.
+// The method uses only target-task data (no transfer) and runs to a fixed
+// evaluation budget; its answer is the Pareto front of everything it
+// evaluated.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +16,6 @@
 
 namespace ppat::baselines {
 
-enum class Scalarization {
-  kFixedWeights,   ///< faithful: one equal-weight LCB objective
-  kRandomWeights,  ///< strengthened: fresh simplex weights per selection
-};
-
 struct Mlcad19Options {
   std::size_t budget = 400;     ///< total tool runs (the paper's fixed cost)
   std::size_t batch_size = 5;   ///< selections per model update
@@ -30,7 +23,6 @@ struct Mlcad19Options {
   double init_fraction = 0.01;
   std::size_t min_init = 8;
   std::size_t refit_every = 5;  ///< refit cadence in rounds (> 0)
-  Scalarization scalarization = Scalarization::kFixedWeights;
   std::uint64_t seed = 1;
 };
 

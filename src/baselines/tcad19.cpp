@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "baselines/reveal_log.hpp"
 #include "tuner/surrogate.hpp"
 
 namespace ppat::baselines {
@@ -16,16 +17,15 @@ tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
   const std::size_t n_obj = pool.num_objectives();
   common::Rng rng(options.seed);
 
-  std::vector<bool> revealed(n, false);
-  std::vector<std::size_t> revealed_list;
+  RevealLog log(pool);
   std::vector<linalg::Vector> train_x;
   std::vector<linalg::Vector> train_y(n_obj);
   auto reveal = [&](std::size_t i) {
-    const pareto::Point y = pool.reveal(i);
-    revealed[i] = true;
-    revealed_list.push_back(i);
-    train_x.push_back(pool.encoded()[i]);
-    for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back(y[k]);
+    const auto y = log.reveal(i);
+    if (y) {
+      train_x.push_back(pool.encoded()[i]);
+      for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back((*y)[k]);
+    }
     return y;
   };
 
@@ -37,6 +37,7 @@ tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
   for (std::size_t i : rng.sample_without_replacement(n, init_count)) {
     reveal(i);
   }
+  log.require_a_success("run_tcad19");
 
   std::vector<tuner::PlainGpSurrogate> models(n_obj);
   for (std::size_t k = 0; k < n_obj; ++k) {
@@ -52,7 +53,7 @@ tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
     std::vector<std::size_t> unrevealed_idx;
     std::vector<linalg::Vector> unrevealed_x;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!revealed[i]) {
+      if (!log.spent(i)) {
         unrevealed_idx.push_back(i);
         unrevealed_x.push_back(pool.encoded()[i]);
       }
@@ -85,10 +86,11 @@ tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
         pick = front[front_cursor++];
       }
       const std::size_t i = unrevealed_idx[pick];
-      if (revealed[i]) continue;  // duplicate random pick within the batch
-      const pareto::Point y = reveal(i);
-      for (std::size_t k = 0; k < n_obj; ++k) {
-        models[k].add_observation(pool.encoded()[i], y[k]);
+      if (log.spent(i)) continue;  // duplicate random pick within the batch
+      if (const auto y = reveal(i)) {
+        for (std::size_t k = 0; k < n_obj; ++k) {
+          models[k].add_observation(pool.encoded()[i], (*y)[k]);
+        }
       }
     }
     if (round % options.refit_every == 0) {
@@ -96,16 +98,7 @@ tuner::TuningResult run_tcad19(tuner::CandidatePool& pool,
     }
   }
 
-  // ---- Answer: Pareto front of the evaluated set ----
-  std::vector<pareto::Point> evaluated;
-  evaluated.reserve(revealed_list.size());
-  for (std::size_t i : revealed_list) evaluated.push_back(pool.reveal(i));
-  tuner::TuningResult result;
-  for (std::size_t f : pareto::pareto_front_indices(evaluated)) {
-    result.pareto_indices.push_back(revealed_list[f]);
-  }
-  result.tool_runs = pool.runs();
-  return result;
+  return log.answer();
 }
 
 }  // namespace ppat::baselines

@@ -109,14 +109,6 @@ ScopedPool::ScopedPool(ThreadPool* pool) : previous_(t_current_pool) {
 
 ScopedPool::~ScopedPool() { t_current_pool = previous_; }
 
-void set_global_thread_count(std::size_t num_threads) {
-  std::lock_guard lock(g_pool_mutex);
-  const std::size_t n = std::max<std::size_t>(1, num_threads);
-  if (g_pool && g_pool->num_threads() == n) return;
-  g_pool.reset();  // join old workers before replacing
-  g_pool = std::make_unique<ThreadPool>(n);
-}
-
 std::size_t global_thread_count() {
   return global_thread_pool().num_threads();
 }

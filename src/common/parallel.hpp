@@ -28,9 +28,9 @@
 // THREAD's current pool — the global singleton by default, or a per-session
 // pool installed with ScopedPool. A long-running server hosts one pool per
 // tuning session and brackets each session's work in a ScopedPool on the
-// session thread, so sessions never contend on (or resize) the global pool.
-// tuner::run_ppatuner always runs under a ScopedPool (the caller's pool or
-// one it owns), so no library call resizes the singleton.
+// session thread, so sessions never contend on the global pool, which has a
+// fixed size. tuner::run_ppatuner always runs under a ScopedPool (the
+// caller's pool or one it owns).
 #pragma once
 
 #include <cstddef>
@@ -71,14 +71,10 @@ class ThreadPool {
 };
 
 /// Process-wide pool used by the linear-algebra kernels. Created on first
-/// use with `std::thread::hardware_concurrency()` threads.
+/// use with `std::thread::hardware_concurrency()` threads and never
+/// resized: callers that want another size install their own pool with
+/// ScopedPool.
 ThreadPool& global_thread_pool();
-
-/// Resizes the global pool (1 disables threading entirely). Must not be
-/// called while parallel work is in flight on it. Multi-session hosts
-/// should install per-session pools with ScopedPool instead of resizing
-/// the shared singleton.
-void set_global_thread_count(std::size_t num_threads);
 std::size_t global_thread_count();
 
 /// The calling thread's pool: the innermost active ScopedPool override, or

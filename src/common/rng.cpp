@@ -109,52 +109,6 @@ double Rng::normal(double mean, double sd) {
   return mean + sd * normal();
 }
 
-double Rng::gamma(double shape, double scale) {
-  assert(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Ahrens-Dieter boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-    const double u = uniform01();
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia & Tsang.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x, v;
-    do {
-      x = normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = uniform01();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
-    }
-  }
-}
-
-bool Rng::bernoulli(double p) { return uniform01() < p; }
-
-std::size_t Rng::categorical(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double r = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  // Rounding fell off the end: return the last positive-weight index.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> p(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = i;
@@ -175,14 +129,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   }
   idx.resize(k);
   return idx;
-}
-
-Rng Rng::split(std::uint64_t stream_id) const {
-  // Mix the current state with the stream id through SplitMix64 so child
-  // streams are decorrelated from the parent and from each other.
-  std::uint64_t mix = state_[0] ^ (state_[2] * 0x9E3779B97F4A7C15ull) ^
-                      (stream_id * 0xD1342543DE82EF95ull);
-  return Rng(splitmix64(mix));
 }
 
 }  // namespace ppat::common

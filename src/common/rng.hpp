@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 namespace ppat::common {
@@ -78,17 +77,6 @@ class Rng {
   /// Normal deviate with the given mean and standard deviation (sd >= 0).
   double normal(double mean, double sd);
 
-  /// Gamma(shape, scale) deviate, shape > 0, scale > 0
-  /// (Marsaglia & Tsang squeeze method, with the Ahrens boost for shape < 1).
-  double gamma(double shape, double scale);
-
-  /// Bernoulli trial with success probability p in [0, 1].
-  bool bernoulli(double p);
-
-  /// Index drawn proportionally to the (non-negative) weights.
-  /// Precondition: at least one weight is strictly positive.
-  std::size_t categorical(std::span<const double> weights);
-
   /// In-place Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -106,10 +94,6 @@ class Rng {
   /// Returned in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  /// Derives an independent child stream; children with different `stream_id`
-  /// values are statistically independent of each other and of the parent.
-  Rng split(std::uint64_t stream_id) const;
 
  private:
   std::uint64_t state_[4];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace ppat::common {
 
@@ -45,65 +46,5 @@ double max_of(std::span<const double> xs) {
   assert(!xs.empty());
   return *std::max_element(xs.begin(), xs.end());
 }
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs), my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&xs](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg_rank = 0.5 * (static_cast<double>(i) + static_cast<double>(j));
-    for (std::size_t k = i; k <= j; ++k) r[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return r;
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace ppat::common

@@ -2,9 +2,7 @@
 // harness (result aggregation across seeds).
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ppat::common {
 
@@ -23,35 +21,5 @@ double median(std::span<const double> xs);
 /// Minimum / maximum; preconditions: non-empty.
 double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
-
-/// Pearson correlation coefficient; returns 0 when either side is constant.
-/// Precondition: xs.size() == ys.size().
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman rank correlation; ties get average ranks.
-/// Precondition: xs.size() == ys.size().
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
-/// Ranks of the values (0-based, ties averaged), e.g. {10, 30, 20} -> {0,2,1}.
-std::vector<double> ranks(std::span<const double> xs);
-
-/// Incremental mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< Unbiased; 0 for n < 2.
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace ppat::common

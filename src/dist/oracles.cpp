@@ -35,7 +35,11 @@ flow::ParameterSpace unit_cube_space(std::size_t dim) {
   std::vector<flow::ParamSpec> specs;
   specs.reserve(dim);
   for (std::size_t i = 0; i < dim; ++i) {
-    specs.push_back(flow::ParamSpec::real("u" + std::to_string(i), 0.0, 1.0));
+    // Built construct-then-append: GCC 12 at -O3 reports a false overlap
+    // (-Wrestrict) inside `"u" + std::to_string(i)`.
+    std::string name = "u";
+    name += std::to_string(i);
+    specs.push_back(flow::ParamSpec::real(name, 0.0, 1.0));
   }
   return flow::ParameterSpace(std::move(specs));
 }

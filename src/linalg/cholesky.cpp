@@ -493,40 +493,4 @@ Matrix CholeskyFactor::inverse() const {
   return solve(Matrix::identity(size()));
 }
 
-std::optional<Vector> solve_lu(Matrix a, Vector b) {
-  assert(a.rows() == a.cols() && b.size() == a.rows());
-  const std::size_t n = a.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    std::size_t pivot = col;
-    double best = std::fabs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(a(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) return std::nullopt;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
-      std::swap(b[pivot], b[col]);
-    }
-    const double inv = 1.0 / a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) * inv;
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
-      b[r] -= factor * b[col];
-    }
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) s -= a(ii, c) * x[c];
-    x[ii] = s / a(ii, ii);
-  }
-  return x;
-}
-
 }  // namespace ppat::linalg

@@ -118,10 +118,4 @@ class CholeskyFactor {
   double jitter_ = 0.0;
 };
 
-/// Solves the general square system A x = b by partially pivoted LU.
-/// Returns nullopt if A is singular to working precision. Used by
-/// non-SPD paths (e.g. the matrix-factorization baseline's normal equations
-/// are SPD, but tests cross-check against this).
-std::optional<Vector> solve_lu(Matrix a, Vector b);
-
 }  // namespace ppat::linalg

@@ -29,60 +29,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-Matrix Matrix::operator*(const Matrix& other) const {
-  assert(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  // i-k-j loop order keeps the inner loop contiguous in both inputs.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + i * other.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Vector Matrix::operator*(const Vector& v) const {
-  assert(v.size() == cols_);
-  Vector out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    out[i] = dot(row(i), v);
-  }
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& x : data_) x *= s;
-  return *this;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  Matrix out = *this;
-  out += other;
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  Matrix out = *this;
-  out -= other;
-  return out;
-}
-
 void Matrix::add_to_diagonal(double value) {
   assert(rows_ == cols_);
   for (std::size_t i = 0; i < rows_; ++i) (*this)(i, i) += value;
@@ -105,26 +51,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-Vector operator+(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector operator-(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector operator*(double s, const Vector& a) {
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = s * a[i];
-  return out;
-}
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   assert(x.size() == y.size());

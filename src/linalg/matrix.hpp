@@ -56,18 +56,6 @@ class Matrix {
 
   Matrix transposed() const;
 
-  /// this * other; inner dimensions must agree.
-  Matrix operator*(const Matrix& other) const;
-
-  /// Matrix-vector product; v.size() must equal cols().
-  Vector operator*(const Vector& v) const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double s);
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-
   /// Adds `value` to every diagonal entry (square matrices only).
   void add_to_diagonal(double value);
 
@@ -84,9 +72,6 @@ class Matrix {
 
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);  ///< Euclidean norm.
-Vector operator+(const Vector& a, const Vector& b);
-Vector operator-(const Vector& a, const Vector& b);
-Vector operator*(double s, const Vector& a);
 
 /// y += alpha * x
 void axpy(double alpha, std::span<const double> x, std::span<double> y);

@@ -8,8 +8,8 @@
 //   - Nets are single-driver. A net's driver is either an instance or a
 //     primary input.
 //   - The clock is not modeled as a net in the graph; sequential instances
-//     are flagged and clock effects (CTS buffers, clock power, skew) are
-//     modeled by the flow's CTS stage.
+//     are flagged, and the clock tree's power is modeled in closed form
+//     from their count (power::clock_tree_power_mw).
 #pragma once
 
 #include <cstdint>

@@ -211,11 +211,6 @@ std::vector<char> weakly_dominated_queries(const std::vector<Point>& set,
   return out;
 }
 
-std::vector<std::size_t> pareto_front_indices_reference(
-    const std::vector<Point>& points) {
-  return nondominated_positions_reference(points, DuplicatePolicy::kFirstOnly);
-}
-
 std::vector<std::size_t> pareto_front_indices(
     const std::vector<Point>& points) {
   return nondominated_positions(points, DuplicatePolicy::kFirstOnly);
@@ -385,11 +380,6 @@ double hypervolume(const std::vector<Point>& points, const Point& ref) {
   if (clipped.empty()) return 0.0;
   if (ref.size() == 3) return hv_3d(clipped, ref);
   return hv_recursive(std::move(clipped), ref);
-}
-
-double hypervolume_reference(const std::vector<Point>& points,
-                             const Point& ref) {
-  return hv_recursive(clip_to_reference(points, ref), ref);
 }
 
 double hypervolume_error(const std::vector<Point>& golden,

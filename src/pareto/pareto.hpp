@@ -60,13 +60,8 @@ std::vector<char> weakly_dominated_queries(const std::vector<Point>& set,
                                            const std::vector<Point>& queries);
 
 /// Indices of the non-dominated points (first occurrence wins among exact
-/// duplicates). Sweep-based for 2/3 objectives, pairwise otherwise; always
-/// identical to pareto_front_indices_reference.
+/// duplicates): nondominated_positions with DuplicatePolicy::kFirstOnly.
 std::vector<std::size_t> pareto_front_indices(
-    const std::vector<Point>& points);
-
-/// The original pairwise implementation, kept as the test oracle.
-std::vector<std::size_t> pareto_front_indices_reference(
     const std::vector<Point>& points);
 
 /// The non-dominated subset itself.
@@ -82,15 +77,9 @@ Point reference_point(const std::vector<Point>& points, double margin = 1.1);
 /// `ref` (minimization). Points beyond the reference contribute only their
 /// clipped part. Dimensions supported: 1 and up. 2-D and 3-D run closed-form
 /// sweeps (O(n log n)); >= 4-D falls back to recursive slicing. The 3-D
-/// sweep accumulates in a different order than the slicer, so it agrees with
-/// hypervolume_reference to rounding (~1e-12 relative), not bitwise.
+/// sweep accumulates in a different order than the slicer, so the two agree
+/// to rounding (~1e-12 relative), not bitwise.
 double hypervolume(const std::vector<Point>& points, const Point& ref);
-
-/// The recursive-slicing implementation for every dimensionality >= 3 (2-D
-/// and 1-D are shared closed forms) — the pre-sweep code path, kept as the
-/// test oracle.
-double hypervolume_reference(const std::vector<Point>& points,
-                             const Point& ref);
 
 /// Hypervolume error of an approximation vs the golden front (paper
 /// Eq. (2)): (H(P) - H(P_hat)) / H(P), computed against a shared reference

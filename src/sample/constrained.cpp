@@ -1,8 +1,6 @@
 #include "sample/constrained.hpp"
 
-#include <cmath>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <unordered_set>
 
@@ -54,102 +52,6 @@ std::vector<flow::Config> constrained_lhs(const flow::ParameterSpace& space,
     }
     dry = grew ? 0 : dry + 1;
   }
-  return out;
-}
-
-std::vector<flow::Config> constrained_sobol(const flow::ParameterSpace& space,
-                                            std::size_t n,
-                                            std::uint64_t seed) {
-  SobolSequence seq(space.size(), seed);
-  std::vector<flow::Config> out;
-  std::unordered_set<std::string> seen;
-  // A Sobol stream is a single deterministic sequence: advance it until n
-  // distinct designs emerge or a long dry stretch signals exhaustion.
-  std::size_t dry_points = 0;
-  const std::size_t max_dry = 64 * (n + 1);
-  while (out.size() < n && dry_points < max_dry) {
-    const linalg::Vector u = seq.next();
-    flow::Config c = space.has_constraints() ? space.decode_feasible(u)
-                                             : space.decode(u);
-    if (seen.insert(config_key(c)).second) {
-      out.push_back(std::move(c));
-      dry_points = 0;
-    } else {
-      ++dry_points;
-    }
-  }
-  return out;
-}
-
-std::vector<flow::Config> enumerate_feasible(const flow::ParameterSpace& space,
-                                             std::size_t max_configs) {
-  const std::size_t d = space.size();
-  for (std::size_t i = 0; i < d; ++i) {
-    if (space.spec(i).type == flow::ParamType::kFloat) {
-      throw std::invalid_argument(
-          "enumerate_feasible: space has continuous parameter " +
-          space.spec(i).name);
-    }
-  }
-  std::vector<flow::Config> out;
-  flow::Config current(d, 0.0);
-
-  // DFS over dimensions in spec order (parents precede children, so
-  // activation and divisibility are decidable from the prefix).
-  auto visit = [&](auto&& self, std::size_t i) -> void {
-    if (i == d) {
-      if (out.size() >= max_configs) {
-        throw std::runtime_error(
-            "enumerate_feasible: feasible set exceeds max_configs");
-      }
-      out.push_back(current);
-      return;
-    }
-    const flow::ParamSpec& s = space.spec(i);
-    // Inactive => pinned at the canonical value (canonical-form configs).
-    const std::size_t gate =
-        s.active_parent.empty() ? flow::ParameterSpace::npos
-                                : space.index_of(s.active_parent);
-    bool active = true;
-    if (gate != flow::ParameterSpace::npos) {
-      // The gate itself may be inactive; canonical form means an inactive
-      // gate holds its canonical value, so comparing values suffices as
-      // long as active_value differs from the gate's canonical value OR
-      // the gate is genuinely active. Recompute the mask on the prefix to
-      // be exact.
-      flow::Config prefix = current;
-      const auto mask = space.active_mask(prefix);
-      active = mask[gate] != 0 &&
-               std::fabs(current[gate] - s.active_value) <= 1e-9;
-    }
-    if (!active) {
-      current[i] = space.canonical_value(i);
-      self(self, i + 1);
-      return;
-    }
-    std::vector<double> values;
-    if (!s.levels.empty()) {
-      values = s.levels;
-    } else {
-      for (long long v = std::llround(s.min_value);
-           v <= std::llround(s.max_value); ++v) {
-        values.push_back(static_cast<double>(v));
-      }
-    }
-    const std::size_t parent = s.divides_parent.empty()
-                                   ? flow::ParameterSpace::npos
-                                   : space.index_of(s.divides_parent);
-    for (double v : values) {
-      if (parent != flow::ParameterSpace::npos) {
-        const long long child = std::llround(v);
-        const long long pv = std::llround(current[parent]);
-        if (child == 0 || pv % child != 0) continue;
-      }
-      current[i] = v;
-      self(self, i + 1);
-    }
-  };
-  visit(visit, 0);
   return out;
 }
 

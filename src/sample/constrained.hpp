@@ -1,19 +1,18 @@
 // Constraint-aware sampling over mixed/conditional parameter spaces.
 //
-// The unit-cube samplers in sampling.hpp know nothing about types or
-// constraints; this layer composes them with ParameterSpace::decode_feasible
+// The unit-cube sampler in sampling.hpp knows nothing about types or
+// constraints; this layer composes it with ParameterSpace::decode_feasible
 // so every emitted design is feasible BY CONSTRUCTION (no rejection loop on
 // the constraint check). Discrete quantization can collapse distinct unit
-// points onto the same config, so samplers dedup after decoding and top up
-// from fresh stratified batches until the request is met or the feasible set
-// is exhausted.
+// points onto the same config, so the sampler dedups after decoding and tops
+// up from fresh stratified batches until the request is met or the feasible
+// set is exhausted.
 //
 // Lives in its own library target (ppat_sample_constrained): ppat_flow links
 // ppat_sample, so this flow-aware layer cannot be part of ppat_sample
 // without a dependency cycle.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -31,18 +30,5 @@ std::vector<flow::Config> dedup_configs(std::vector<flow::Config> configs);
 /// only when the feasible set itself is smaller (dedup exhausts it).
 std::vector<flow::Config> constrained_lhs(const flow::ParameterSpace& space,
                                           std::size_t n, common::Rng& rng);
-
-/// Same contract over a scrambled Sobol stream (lower-discrepancy designs).
-std::vector<flow::Config> constrained_sobol(const flow::ParameterSpace& space,
-                                            std::size_t n,
-                                            std::uint64_t seed);
-
-/// Exhaustive feasible set of a fully discrete space, in lexicographic
-/// domain order with constraint pruning (inactive subtrees collapse to the
-/// canonical value; divisibility-infeasible branches are never visited).
-/// Throws if the space has a continuous parameter or the count would exceed
-/// `max_configs`.
-std::vector<flow::Config> enumerate_feasible(const flow::ParameterSpace& space,
-                                             std::size_t max_configs);
 
 }  // namespace ppat::sample

@@ -1,10 +1,5 @@
 #include "sample/sampling.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <stdexcept>
-
 namespace ppat::sample {
 
 std::vector<linalg::Vector> latin_hypercube(std::size_t n, std::size_t d,
@@ -19,156 +14,6 @@ std::vector<linalg::Vector> latin_hypercube(std::size_t n, std::size_t d,
     }
   }
   return points;
-}
-
-std::vector<linalg::Vector> uniform_random(std::size_t n, std::size_t d,
-                                           common::Rng& rng) {
-  std::vector<linalg::Vector> points(n, linalg::Vector(d));
-  for (auto& p : points) {
-    for (auto& x : p) x = rng.uniform01();
-  }
-  return points;
-}
-
-std::vector<linalg::Vector> full_grid(std::size_t levels_per_dim,
-                                      std::size_t d) {
-  assert(levels_per_dim > 0 && d > 0);
-  std::size_t total = 1;
-  for (std::size_t j = 0; j < d; ++j) {
-    if (total > 10'000'000 / levels_per_dim) {
-      throw std::invalid_argument("full_grid: grid too large");
-    }
-    total *= levels_per_dim;
-  }
-  std::vector<linalg::Vector> points(total, linalg::Vector(d));
-  for (std::size_t i = 0; i < total; ++i) {
-    std::size_t rem = i;
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::size_t level = rem % levels_per_dim;
-      rem /= levels_per_dim;
-      points[i][j] = (static_cast<double>(level) + 0.5) /
-                     static_cast<double>(levels_per_dim);
-    }
-  }
-  return points;
-}
-
-namespace {
-
-// Primitive polynomials (coefficients a, degree s) and initial direction
-// numbers m_i for Sobol dimensions 2..16, from Joe & Kuo (2008). Dimension 1
-// is the van der Corput sequence.
-struct SobolDim {
-  unsigned degree;
-  unsigned poly;  // coefficient bits a_1..a_{s-1}
-  unsigned m[8];  // initial m values (degree of them used)
-};
-
-constexpr SobolDim kSobolDims[] = {
-    {1, 0, {1, 0, 0, 0, 0, 0, 0, 0}},
-    {2, 1, {1, 3, 0, 0, 0, 0, 0, 0}},
-    {3, 1, {1, 3, 1, 0, 0, 0, 0, 0}},
-    {3, 2, {1, 1, 1, 0, 0, 0, 0, 0}},
-    {4, 1, {1, 1, 3, 3, 0, 0, 0, 0}},
-    {4, 4, {1, 3, 5, 13, 0, 0, 0, 0}},
-    {5, 2, {1, 1, 5, 5, 17, 0, 0, 0}},
-    {5, 4, {1, 1, 5, 5, 5, 0, 0, 0}},
-    {5, 7, {1, 1, 7, 11, 19, 0, 0, 0}},
-    {5, 11, {1, 1, 5, 1, 1, 0, 0, 0}},
-    {5, 13, {1, 1, 1, 3, 11, 0, 0, 0}},
-    {5, 14, {1, 3, 5, 5, 31, 0, 0, 0}},
-    {6, 1, {1, 3, 3, 9, 7, 49, 0, 0}},
-    {6, 13, {1, 1, 1, 15, 21, 21, 0, 0}},
-    {6, 16, {1, 3, 1, 13, 27, 49, 0, 0}},
-};
-
-}  // namespace
-
-SobolSequence::SobolSequence(std::size_t dimensions, std::uint64_t seed)
-    : dims_(dimensions) {
-  if (dimensions == 0 || dimensions > kMaxDimensions) {
-    throw std::invalid_argument("SobolSequence: 1..16 dimensions supported");
-  }
-  constexpr unsigned kBits = 32;
-  direction_.assign(dims_, std::vector<std::uint32_t>(kBits, 0));
-  // Dimension 0: van der Corput — direction numbers are single bits.
-  for (unsigned b = 0; b < kBits; ++b) {
-    direction_[0][b] = 1u << (31 - b);
-  }
-  for (std::size_t d = 1; d < dims_; ++d) {
-    const SobolDim& sd = kSobolDims[d - 1];
-    const unsigned s = sd.degree;
-    std::vector<std::uint32_t> m(kBits);
-    for (unsigned i = 0; i < s; ++i) m[i] = sd.m[i];
-    for (unsigned i = s; i < kBits; ++i) {
-      std::uint32_t mi = m[i - s] ^ (m[i - s] << s);
-      for (unsigned k = 1; k < s; ++k) {
-        if ((sd.poly >> (s - 1 - k)) & 1u) mi ^= m[i - k] << k;
-      }
-      m[i] = mi;
-    }
-    for (unsigned b = 0; b < kBits; ++b) {
-      direction_[d][b] = m[b] << (31 - b);
-    }
-  }
-  state_.assign(dims_, 0);
-  scramble_.assign(dims_, 0);
-  common::Rng rng(seed);
-  for (auto& sc : scramble_) {
-    sc = static_cast<std::uint32_t>(rng.next_u64() >> 32);
-  }
-}
-
-linalg::Vector SobolSequence::next() {
-  // Emit the current state (the scrambled origin on the first call — the
-  // digital shift randomizes it away from (0,...,0), and including it keeps
-  // every power-of-two prefix perfectly balanced), then advance by the
-  // Gray-code rule: flip the direction number of the lowest zero bit of the
-  // emission index.
-  linalg::Vector point(dims_);
-  for (std::size_t d = 0; d < dims_; ++d) {
-    const std::uint32_t scrambled = state_[d] ^ scramble_[d];
-    point[d] = static_cast<double>(scrambled) * 0x1.0p-32;
-  }
-  unsigned c = 0;
-  std::uint64_t value = index_;
-  while (value & 1u) {
-    value >>= 1;
-    ++c;
-  }
-  ++index_;
-  for (std::size_t d = 0; d < dims_; ++d) {
-    state_[d] ^= direction_[d][c];
-  }
-  return point;
-}
-
-std::vector<linalg::Vector> SobolSequence::generate(std::size_t n,
-                                                    std::size_t dimensions,
-                                                    std::uint64_t seed) {
-  SobolSequence seq(dimensions, seed);
-  std::vector<linalg::Vector> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) points.push_back(seq.next());
-  return points;
-}
-
-double max_coordinate_gap(const std::vector<linalg::Vector>& points) {
-  if (points.empty()) return 1.0;
-  const std::size_t d = points.front().size();
-  double worst = 0.0;
-  std::vector<double> coords(points.size());
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < points.size(); ++i) coords[i] = points[i][j];
-    std::sort(coords.begin(), coords.end());
-    double gap = coords.front();  // gap from 0 to the first point
-    for (std::size_t i = 1; i < coords.size(); ++i) {
-      gap = std::max(gap, coords[i] - coords[i - 1]);
-    }
-    gap = std::max(gap, 1.0 - coords.back());
-    worst = std::max(worst, gap);
-  }
-  return worst;
 }
 
 }  // namespace ppat::sample

@@ -2,15 +2,12 @@
 //
 // The paper builds its offline benchmarks with Latin hypercube sampling
 // ("the Latin hyper-cube selecting scheme is exploited to choose the
-// parameter configuration points", §4.1); the tuners' initialization steps
-// use uniform random subsets. A scrambled Sobol sequence is provided as an
-// extension for users who want lower-discrepancy initial designs.
+// parameter configuration points", §4.1).
 //
-// All samplers return points in the unit cube; mapping to typed tool
+// The sampler returns points in the unit cube; mapping to typed tool
 // parameters (float/int/enum/bool ranges) is done by flow::ParameterSpace.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,47 +21,5 @@ namespace ppat::sample {
 /// dimension.
 std::vector<linalg::Vector> latin_hypercube(std::size_t n, std::size_t d,
                                             common::Rng& rng);
-
-/// `n` i.i.d. uniform points in [0,1)^d.
-std::vector<linalg::Vector> uniform_random(std::size_t n, std::size_t d,
-                                           common::Rng& rng);
-
-/// Full-factorial grid with `levels_per_dim` levels per dimension, at
-/// stratum centers. Size = levels^d; intended for small d only.
-std::vector<linalg::Vector> full_grid(std::size_t levels_per_dim,
-                                      std::size_t d);
-
-/// Digitally scrambled (random digital shift) Sobol sequence. The shifted
-/// origin is included as the first point, so every power-of-two prefix is
-/// perfectly balanced per dimension. Supports up to 16 dimensions; enough
-/// for this library's parameter spaces (max 12 tool parameters).
-class SobolSequence {
- public:
-  /// `seed` drives the scrambling; the same seed reproduces the sequence.
-  SobolSequence(std::size_t dimensions, std::uint64_t seed);
-
-  /// Next point in [0,1)^d.
-  linalg::Vector next();
-
-  /// Convenience: the first n points of a fresh scrambled sequence.
-  static std::vector<linalg::Vector> generate(std::size_t n,
-                                              std::size_t dimensions,
-                                              std::uint64_t seed);
-
-  static constexpr std::size_t kMaxDimensions = 16;
-
- private:
-  std::size_t dims_;
-  std::uint64_t index_ = 0;
-  // direction_[d][b]: direction number for bit b of dimension d (32-bit).
-  std::vector<std::vector<std::uint32_t>> direction_;
-  std::vector<std::uint32_t> state_;     // current Gray-code accumulators
-  std::vector<std::uint32_t> scramble_;  // per-dimension random digital shift
-};
-
-/// Discrepancy-style quality measure used in tests: the maximum over
-/// dimensions of the largest gap between consecutive sorted coordinates.
-/// For an n-point LHS it is provably <= 2/n per dimension.
-double max_coordinate_gap(const std::vector<linalg::Vector>& points);
 
 }  // namespace ppat::sample

@@ -7,7 +7,6 @@
 namespace ppat::sta {
 
 using netlist::InstanceId;
-using netlist::kInvalidId;
 using netlist::Netlist;
 using netlist::NetId;
 
@@ -130,69 +129,6 @@ TimingReport run_sta(const Netlist& nl, const WireParasitics& parasitics,
   }
   r.wns_ns = (r.endpoints == 0) ? 0.0 : wns;
   return r;
-}
-
-std::vector<TimingPath> worst_paths(const Netlist& nl,
-                                    const WireParasitics& parasitics,
-                                    const TimingOptions& opt,
-                                    const TimingReport& report,
-                                    std::size_t k) {
-  // Gather endpoints: (arrival-at-endpoint, required, last net, is-flop).
-  struct Endpoint {
-    double arrival;
-    double required;
-    NetId net;
-    bool flop;
-  };
-  std::vector<Endpoint> endpoints;
-  const double required_ff =
-      opt.clock_period_ns - opt.setup_ns - opt.clock_uncertainty_ns;
-  const double required_po = opt.clock_period_ns - opt.output_margin_ns;
-  for (InstanceId i = 0; i < nl.num_instances(); ++i) {
-    if (!nl.is_sequential(i)) continue;
-    const auto& cell = nl.library().cell(nl.instance(i).cell);
-    for (NetId fanin : nl.instance(i).fanins) {
-      const double wire_delay =
-          (0.5 * parasitics.res_kohm[fanin] * parasitics.cap_ff[fanin] +
-           parasitics.res_kohm[fanin] * cell.input_cap_ff) *
-          1e-3;
-      endpoints.push_back(
-          {report.arrival_ns[fanin] + wire_delay, required_ff, fanin, true});
-    }
-  }
-  for (NetId po : nl.primary_outputs()) {
-    endpoints.push_back({report.arrival_ns[po], required_po, po, false});
-  }
-  std::sort(endpoints.begin(), endpoints.end(),
-            [](const Endpoint& a, const Endpoint& b) {
-              return (a.required - a.arrival) < (b.required - b.arrival);
-            });
-  if (endpoints.size() > k) endpoints.resize(k);
-
-  // Backtrack each endpoint along worst-arrival fanins to a launch point.
-  std::vector<TimingPath> paths;
-  for (const Endpoint& ep : endpoints) {
-    TimingPath path;
-    path.arrival_ns = ep.arrival;
-    path.slack_ns = ep.required - ep.arrival;
-    path.ends_at_flop = ep.flop;
-    NetId net = ep.net;
-    for (;;) {
-      path.nets.push_back(net);
-      const InstanceId drv = nl.net(net).driver;
-      if (drv == kInvalidId || nl.is_sequential(drv)) break;  // launch point
-      // Worst fanin by arrival (ties: first).
-      const auto& fanins = nl.instance(drv).fanins;
-      NetId worst = fanins.front();
-      for (NetId f : fanins) {
-        if (report.arrival_ns[f] > report.arrival_ns[worst]) worst = f;
-      }
-      net = worst;
-    }
-    std::reverse(path.nets.begin(), path.nets.end());
-    paths.push_back(std::move(path));
-  }
-  return paths;
 }
 
 }  // namespace ppat::sta

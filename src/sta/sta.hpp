@@ -14,7 +14,6 @@
 // Units: ns, kOhm, fF (1 kOhm * 1 fF = 1e-3 ns).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -72,26 +71,5 @@ TimingReport run_sta(const netlist::Netlist& netlist,
 /// Total load (wire cap + sink pin caps) seen by the driver of `net`.
 double net_load_ff(const netlist::Netlist& netlist,
                    const WireParasitics& parasitics, netlist::NetId net);
-
-/// One timing path: the endpoint and the chain of nets from a launch point
-/// (primary input or FF output) to it, worst-arrival first.
-struct TimingPath {
-  double arrival_ns = 0.0;  ///< endpoint data arrival
-  double slack_ns = 0.0;
-  /// Nets along the path, launch first, endpoint's input net last.
-  std::vector<netlist::NetId> nets;
-  /// True when the endpoint is a flip-flop D pin (else a primary output).
-  bool ends_at_flop = false;
-};
-
-/// Extracts the `k` worst paths (by endpoint slack) from a finished timing
-/// run by walking worst-arrival fanins backwards — the standard
-/// report_timing operation. `report` must come from run_sta on the same
-/// netlist/parasitics.
-std::vector<TimingPath> worst_paths(const netlist::Netlist& netlist,
-                                    const WireParasitics& parasitics,
-                                    const TimingOptions& options,
-                                    const TimingReport& report,
-                                    std::size_t k);
 
 }  // namespace ppat::sta

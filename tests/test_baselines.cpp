@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <utility>
 
 #include "baselines/aspdac20.hpp"
 #include "baselines/dac19.hpp"
@@ -150,6 +152,101 @@ TEST_F(BaselinesTest, RefitEveryZeroThrows) {
   mlcad.refit_every = 0;
   EXPECT_THROW(run_mlcad19(pool, mlcad), std::invalid_argument);
   EXPECT_EQ(pool.runs(), 0u);
+}
+
+/// Fails every `period`-th candidate permanently, as a live pool whose tool
+/// runs exhaust their retries does; forwards everything else to `inner`.
+class FailingPool final : public tuner::CandidatePool {
+ public:
+  FailingPool(BenchmarkCandidatePool& inner, std::size_t period)
+      : inner_(inner), period_(period) {}
+
+  bool fails(std::size_t i) const { return i % period_ == 0; }
+
+  std::size_t size() const override { return inner_.size(); }
+  std::size_t num_objectives() const override {
+    return inner_.num_objectives();
+  }
+  const std::vector<linalg::Vector>& encoded() const override {
+    return inner_.encoded();
+  }
+  const std::vector<std::size_t>& objectives() const override {
+    return inner_.objectives();
+  }
+  pareto::Point reveal(std::size_t i) override {
+    if (fails(i)) {
+      failed_.insert(i);
+      throw tuner::PoolEvaluationError("tool run failed");
+    }
+    return inner_.reveal(i);
+  }
+  bool is_revealed(std::size_t i) const override {
+    return inner_.is_revealed(i);
+  }
+  std::size_t runs() const override { return inner_.runs(); }
+  std::size_t failed_evaluations() const override { return failed_.size(); }
+
+ private:
+  BenchmarkCandidatePool& inner_;
+  std::size_t period_;
+  std::set<std::size_t> failed_;
+};
+
+TEST_F(BaselinesTest, AllBaselinesSurvivePermanentlyFailedReveals) {
+  constexpr std::size_t budget = 50;
+  const std::vector<
+      std::pair<const char*, std::function<tuner::TuningResult(FailingPool&)>>>
+      baselines = {
+          {"TCAD'19",
+           [](FailingPool& p) {
+             Tcad19Options o;
+             o.max_runs = budget;
+             return run_tcad19(p, o);
+           }},
+          {"MLCAD'19",
+           [](FailingPool& p) {
+             Mlcad19Options o;
+             o.budget = budget;
+             return run_mlcad19(p, o);
+           }},
+          {"DAC'19",
+           [this](FailingPool& p) {
+             Dac19Options o;
+             o.budget = budget;
+             return run_dac19(p, &source_data_, o);
+           }},
+          {"ASPDAC'20",
+           [this](FailingPool& p) {
+             Aspdac20Options o;
+             o.budget = budget;
+             return run_aspdac20(p, &source_data_, o);
+           }},
+      };
+  for (const auto& [name, run] : baselines) {
+    SCOPED_TRACE(name);
+    {
+      BenchmarkCandidatePool inner(&target_, kPowerDelay);
+      FailingPool pool(inner, 11);
+      const tuner::TuningResult result = run(pool);
+      EXPECT_EQ(result.tool_runs, budget);
+      EXPECT_GT(result.failed_runs, 0u);
+      EXPECT_EQ(result.failed_runs, pool.failed_evaluations());
+      ASSERT_FALSE(result.pareto_indices.empty());
+      for (std::size_t i : result.pareto_indices) {
+        EXPECT_FALSE(pool.fails(i)) << i;
+        EXPECT_TRUE(inner.is_revealed(i)) << i;
+      }
+    }
+    {
+      // Every reveal fails, as with a misconfigured tool: the run stops with
+      // the tool failure instead of fitting a model to no data.
+      BenchmarkCandidatePool inner(&target_, kPowerDelay);
+      FailingPool pool(inner, 1);
+      EXPECT_THROW(run(pool), tuner::PoolEvaluationError);
+      EXPECT_GT(pool.failed_evaluations(), 0u);
+      EXPECT_EQ(inner.runs(), 0u);
+    }
+  }
 }
 
 TEST_F(BaselinesTest, ResultIndicesValid) {

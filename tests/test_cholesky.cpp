@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "reference_cholesky.hpp"
@@ -13,12 +15,68 @@
 namespace ppat::linalg {
 namespace {
 
+/// A * B, the textbook triple loop.
+Matrix product(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      for (std::size_t k = 0; k < a.cols(); ++k) out(i, j) += a(i, k) * b(k, j);
+    }
+  }
+  return out;
+}
+
+/// A * v.
+Vector product(const Matrix& a, const Vector& v) {
+  Vector out(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) out[i] = dot(a.row(i), v);
+  return out;
+}
+
+/// Solves the general square system A x = b by partially pivoted LU, the
+/// independent oracle Cholesky::solve is cross-checked against. Returns
+/// nullopt if A is singular to working precision.
+std::optional<Vector> solve_lu(Matrix a, Vector b) {
+  const std::size_t n = a.rows();
+  for (std::size_t col = 0; col < n; ++col) {
+    // Partial pivot.
+    std::size_t pivot = col;
+    double best = std::fabs(a(col, col));
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double v = std::fabs(a(r, col));
+      if (v > best) {
+        best = v;
+        pivot = r;
+      }
+    }
+    if (best < 1e-300) return std::nullopt;
+    if (pivot != col) {
+      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
+      std::swap(b[pivot], b[col]);
+    }
+    const double inv = 1.0 / a(col, col);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = a(r, col) * inv;
+      if (factor == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
+      b[r] -= factor * b[col];
+    }
+  }
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t c = ii + 1; c < n; ++c) s -= a(ii, c) * x[c];
+    x[ii] = s / a(ii, ii);
+  }
+  return x;
+}
+
 Matrix random_spd(std::size_t n, common::Rng& rng) {
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
   }
-  Matrix spd = a * a.transposed();
+  Matrix spd = product(a, a.transposed());
   spd.add_to_diagonal(static_cast<double>(n));  // well-conditioned
   return spd;
 }
@@ -59,7 +117,7 @@ TEST(Cholesky, ReconstructsMatrix) {
   const auto f = CholeskyFactor::compute(a);
   ASSERT_TRUE(f.has_value());
   const Matrix l = f->lower();
-  EXPECT_LT(Matrix::max_abs_diff(l * l.transposed(), a), 1e-9);
+  EXPECT_LT(Matrix::max_abs_diff(product(l, l.transposed()), a), 1e-9);
 }
 
 TEST(Cholesky, SolveMatchesLu) {
@@ -85,7 +143,7 @@ TEST(Cholesky, SolveResidualIsSmall) {
   const auto f = CholeskyFactor::compute(a);
   ASSERT_TRUE(f.has_value());
   const Vector x = f->solve(b);
-  const Vector r = a * x;
+  const Vector r = product(a, x);
   for (std::size_t i = 0; i < 20; ++i) EXPECT_NEAR(r[i], b[i], 1e-8);
 }
 
@@ -132,7 +190,7 @@ TEST(Cholesky, SolveLowerAndUpperAreInverses) {
   for (auto& x : b) x = rng.normal();
   // L (L^-1 b) == b
   const Vector y = f->solve_lower(b);
-  const Vector back = f->lower() * y;
+  const Vector back = product(f->lower(), y);
   for (std::size_t i = 0; i < 7; ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
 }
 
@@ -221,7 +279,7 @@ TEST(Cholesky, InverseTimesMatrixIsIdentity) {
   const auto f = CholeskyFactor::compute(a);
   ASSERT_TRUE(f.has_value());
   const Matrix inv = f->inverse();
-  EXPECT_LT(Matrix::max_abs_diff(a * inv, Matrix::identity(5)), 1e-8);
+  EXPECT_LT(Matrix::max_abs_diff(product(a, inv), Matrix::identity(5)), 1e-8);
 }
 
 TEST(Cholesky, UnrolledComputeMatchesReferenceBitwise) {

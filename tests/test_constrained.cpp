@@ -69,53 +69,5 @@ TEST(ConstrainedLhs, EveryDesignIsFeasible) {
   }
 }
 
-TEST(ConstrainedSobol, FeasibleDeterministicAndDistinct) {
-  const auto space = hls::systolic_space(hls::large_gemm());
-  const auto pa = constrained_sobol(space, 64, 11);
-  const auto pb = constrained_sobol(space, 64, 11);
-  EXPECT_EQ(pa, pb);
-  EXPECT_EQ(keys(pa).size(), pa.size());
-  for (const auto& c : pa) {
-    ASSERT_TRUE(space.is_feasible(c));
-  }
-}
-
-TEST(EnumerateFeasible, CountsMatchConstraintStructure) {
-  // parent in factors(6) = {1,2,3,6}; child divides parent:
-  //   parent 1 -> {1}; 2 -> {1,2}; 3 -> {1,3}; 6 -> {1,2,3,6}  => 9 configs.
-  const flow::ParameterSpace space({
-      flow::ParamSpec::factors("parent", 6),
-      flow::ParamSpec::factors("child", 6).divides("parent"),
-  });
-  const auto all = enumerate_feasible(space, 100);
-  EXPECT_EQ(all.size(), 9u);
-  for (const auto& c : all) {
-    ASSERT_TRUE(space.is_feasible(c));
-  }
-}
-
-TEST(EnumerateFeasible, InactiveSubtreeCollapses) {
-  // toggle=0 pins the child at its canonical value: 4 + 4*2 = ... toggle
-  // off -> child fixed (4 parents x 1), toggle on -> child ranges over
-  // divisors (9 as above) => 4 + 9 = 13.
-  const flow::ParameterSpace space({
-      flow::ParamSpec::factors("parent", 6),
-      flow::ParamSpec::boolean("toggle"),
-      flow::ParamSpec::factors("child", 6).divides("parent").active_when(
-          "toggle", 1.0),
-  });
-  const auto all = enumerate_feasible(space, 100);
-  EXPECT_EQ(all.size(), 13u);
-}
-
-TEST(EnumerateFeasible, RejectsContinuousAndOverflow) {
-  const flow::ParameterSpace with_float({
-      flow::ParamSpec::real("r", 0.0, 1.0),
-  });
-  EXPECT_THROW(enumerate_feasible(with_float, 10), std::invalid_argument);
-  EXPECT_THROW(enumerate_feasible(tiny_discrete_space(), 3),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace ppat::sample

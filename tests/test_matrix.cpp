@@ -20,41 +20,6 @@ TEST(Matrix, InitializerList) {
   EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
 }
 
-TEST(Matrix, IdentityMultiplicationIsNoop) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix i = Matrix::identity(2);
-  EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(a * i, a), 0.0);
-  EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(i * a, a), 0.0);
-}
-
-TEST(Matrix, MultiplyKnownValues) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b = {{5.0, 6.0}, {7.0, 8.0}};
-  const Matrix c = a * b;
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Matrix, MultiplyNonSquareShapes) {
-  const Matrix a(2, 3, 1.0);
-  const Matrix b(3, 4, 2.0);
-  const Matrix c = a * b;
-  EXPECT_EQ(c.rows(), 2u);
-  EXPECT_EQ(c.cols(), 4u);
-  EXPECT_DOUBLE_EQ(c(1, 3), 6.0);
-}
-
-TEST(Matrix, MatVec) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Vector v = {1.0, -1.0};
-  const Vector r = a * v;
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0], -1.0);
-  EXPECT_DOUBLE_EQ(r[1], -1.0);
-}
-
 TEST(Matrix, Transpose) {
   const Matrix a = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   const Matrix t = a.transposed();
@@ -62,15 +27,6 @@ TEST(Matrix, Transpose) {
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
   EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(t.transposed(), a), 0.0);
-}
-
-TEST(Matrix, AddSubtractScale) {
-  Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b = {{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ((a + b)(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ((a - b)(1, 1), 3.0);
-  a *= 2.0;
-  EXPECT_DOUBLE_EQ(a(1, 0), 6.0);
 }
 
 TEST(Matrix, AddToDiagonal) {
@@ -91,13 +47,6 @@ TEST(VectorOps, DotAndNorm) {
   const Vector a = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-}
-
-TEST(VectorOps, AddSubScale) {
-  const Vector a = {1.0, 2.0}, b = {3.0, 5.0};
-  EXPECT_DOUBLE_EQ((a + b)[1], 7.0);
-  EXPECT_DOUBLE_EQ((b - a)[0], 2.0);
-  EXPECT_DOUBLE_EQ((2.0 * a)[1], 4.0);
 }
 
 TEST(VectorOps, Axpy) {

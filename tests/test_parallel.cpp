@@ -14,16 +14,16 @@
 namespace ppat::common {
 namespace {
 
-// Tests share one process-wide pool; always hand it back single-threaded so
-// unrelated tests are not affected by a resize.
+// Each test runs its parallel work on a pool of its own, installed on the
+// test thread with ScopedPool; the process-wide pool keeps its size.
 class ParallelTest : public ::testing::Test {
  protected:
-  void TearDown() override { set_global_thread_count(1); }
+  ThreadPool pool_{4};
+  ScopedPool scope_{&pool_};
 };
 
 TEST_F(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
-  set_global_thread_count(4);
-  ASSERT_EQ(global_thread_count(), 4u);
+  ASSERT_EQ(current_thread_pool().num_threads(), 4u);
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -32,7 +32,8 @@ TEST_F(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST_F(ParallelTest, ParallelForBlocksPartitionIsExact) {
-  set_global_thread_count(3);
+  ThreadPool three(3);
+  ScopedPool scope(&three);
   std::atomic<long> total{0};
   parallel_for_blocks(
       5, 105,
@@ -49,7 +50,6 @@ TEST_F(ParallelTest, ParallelForBlocksPartitionIsExact) {
 }
 
 TEST_F(ParallelTest, ParallelForPropagatesExceptions) {
-  set_global_thread_count(4);
   EXPECT_THROW(parallel_for(0, 100,
                             [](std::size_t i) {
                               if (i == 37) throw std::runtime_error("boom");
@@ -62,7 +62,6 @@ TEST_F(ParallelTest, ParallelForPropagatesExceptions) {
 }
 
 TEST_F(ParallelTest, TaskGroupPropagatesFirstException) {
-  set_global_thread_count(4);
   TaskGroup group;
   std::atomic<int> done{0};
   group.run([&] { done.fetch_add(1); });
@@ -73,7 +72,6 @@ TEST_F(ParallelTest, TaskGroupPropagatesFirstException) {
 }
 
 TEST_F(ParallelTest, NestedParallelWorkRunsInlineWithoutDeadlock) {
-  set_global_thread_count(4);
   std::atomic<int> total{0};
   TaskGroup group;
   for (int t = 0; t < 4; ++t) {
@@ -88,7 +86,8 @@ TEST_F(ParallelTest, NestedParallelWorkRunsInlineWithoutDeadlock) {
 }
 
 TEST_F(ParallelTest, SingleThreadRunsInlineInOrder) {
-  set_global_thread_count(1);
+  ThreadPool one(1);
+  ScopedPool scope(&one);
   std::vector<std::size_t> order;
   // No pool threads exist, so unsynchronized appends are safe iff the work
   // really runs inline — and in ascending order.
@@ -106,15 +105,13 @@ TEST_F(ParallelTest, SingleThreadRunsInlineInOrder) {
 }
 
 TEST_F(ParallelTest, EmptyRangeAndEmptyGroupAreNoOps) {
-  set_global_thread_count(4);
   parallel_for(10, 10, [](std::size_t) { FAIL() << "must not run"; });
   TaskGroup group;
   group.wait();  // nothing scheduled
 }
 
 TEST_F(ParallelTest, ScopedPoolRedirectsParallelWorkOnThisThread) {
-  set_global_thread_count(1);
-  ASSERT_EQ(&current_thread_pool(), &global_thread_pool());
+  ASSERT_EQ(&current_thread_pool(), &pool_);
   ThreadPool session_pool(3);
   {
     ScopedPool scope(&session_pool);
@@ -131,11 +128,10 @@ TEST_F(ParallelTest, ScopedPoolRedirectsParallelWorkOnThisThread) {
     }
     EXPECT_EQ(&current_thread_pool(), &session_pool);
   }
-  EXPECT_EQ(&current_thread_pool(), &global_thread_pool());
+  EXPECT_EQ(&current_thread_pool(), &pool_);
 }
 
 TEST_F(ParallelTest, ScopedPoolIsThreadLocalAcrossConcurrentSessions) {
-  set_global_thread_count(1);
   ThreadPool pool_a(2);
   ThreadPool pool_b(2);
   // Two "session threads" install different pools concurrently; neither
@@ -153,7 +149,7 @@ TEST_F(ParallelTest, ScopedPoolIsThreadLocalAcrossConcurrentSessions) {
   tb.join();
   EXPECT_TRUE(a_ok.load());
   EXPECT_TRUE(b_ok.load());
-  EXPECT_EQ(&current_thread_pool(), &global_thread_pool());
+  EXPECT_EQ(&current_thread_pool(), &pool_);
 }
 
 TEST_F(ParallelTest, CrossPoolNestedWorkRunsInlineUnderSaturation) {
@@ -162,7 +158,6 @@ TEST_F(ParallelTest, CrossPoolNestedWorkRunsInlineUnderSaturation) {
   // pool — must fall back to inline execution (ThreadPool::in_worker), not
   // block on a queue that can never drain. Before the fix this deadlocked
   // under multi-session contention; with it, the test completes.
-  set_global_thread_count(2);
   ThreadPool session_pool(2);
   std::atomic<int> total{0};
   TaskGroup outer(&session_pool);
@@ -170,8 +165,8 @@ TEST_F(ParallelTest, CrossPoolNestedWorkRunsInlineUnderSaturation) {
     outer.run([&total] {
       EXPECT_TRUE(ThreadPool::in_worker());
       // Nested constructs from a worker: both the element-wise and the
-      // grouped form, targeting the global pool (a DIFFERENT pool than the
-      // one this worker belongs to).
+      // grouped form, targeting the worker thread's current pool, the
+      // global one (a DIFFERENT pool than the one this worker belongs to).
       parallel_for(0, 50, [&total](std::size_t) { total.fetch_add(1); });
       TaskGroup inner;
       for (int k = 0; k < 3; ++k) {
@@ -215,7 +210,6 @@ TEST(PpaTunerThreading, ThreadCountDoesNotChangeResults) {
       pool_serial, make_transfer_gp_factory(source_data), serial);
   const auto rt = run_ppatuner(
       pool_threaded, make_transfer_gp_factory(source_data), threaded);
-  common::set_global_thread_count(1);
 
   EXPECT_EQ(rs.pareto_indices, rt.pareto_indices);
   EXPECT_EQ(rs.tool_runs, rt.tool_runs);
@@ -237,7 +231,6 @@ TEST(PpaTunerThreading, PlainGpThreadCountDoesNotChangeResults) {
   const auto rs = run_ppatuner(pool_serial, make_plain_gp_factory(), serial);
   const auto rt = run_ppatuner(pool_threaded, make_plain_gp_factory(),
                                threaded);
-  common::set_global_thread_count(1);
 
   EXPECT_EQ(rs.pareto_indices, rt.pareto_indices);
   EXPECT_EQ(rs.tool_runs, rt.tool_runs);
@@ -246,8 +239,7 @@ TEST(PpaTunerThreading, PlainGpThreadCountDoesNotChangeResults) {
 TEST(PpaTunerThreading, RunOwnsItsPoolAndLeavesGlobalPoolAlone) {
   const flow::BenchmarkSet target =
       testing::synthetic_benchmark("tgt", 160, 14, 0.0);
-  const std::size_t previous = common::global_thread_count();
-  common::set_global_thread_count(3);
+  const std::size_t before = common::global_thread_count();
 
   PPATunerOptions serial;
   serial.seed = 23;
@@ -263,10 +255,9 @@ TEST(PpaTunerThreading, RunOwnsItsPoolAndLeavesGlobalPoolAlone) {
   const auto rt = run_ppatuner(pool_threaded, make_plain_gp_factory(),
                                threaded);
   const std::size_t after_threaded = common::global_thread_count();
-  common::set_global_thread_count(previous);
 
-  EXPECT_EQ(after_serial, 3u);
-  EXPECT_EQ(after_threaded, 3u);
+  EXPECT_EQ(after_serial, before);
+  EXPECT_EQ(after_threaded, before);
   EXPECT_EQ(rs.pareto_indices, rt.pareto_indices);
   EXPECT_EQ(rs.tool_runs, rt.tool_runs);
   for (std::size_t i = 0; i < pool_serial.size(); ++i) {

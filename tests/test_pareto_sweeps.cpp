@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -27,6 +28,28 @@ std::vector<Point> gridded_points(std::size_t n, std::size_t d,
     for (double& v : p) v = std::round(rng.uniform01() * cells) / cells;
   }
   return pts;
+}
+
+/// The pairwise front: the oracle of pareto_front_indices.
+std::vector<std::size_t> pareto_front_indices_reference(
+    const std::vector<Point>& points) {
+  return nondominated_positions_reference(points, DuplicatePolicy::kFirstOnly);
+}
+
+/// The recursive slicer's hypervolume, the oracle of `hypervolume`'s
+/// per-dimension dispatch. Constant objectives at 0 with reference depth 1
+/// are appended until the dimension is above the input's and at least 4.
+/// `hypervolume` sends such input down the slicer, and each added objective
+/// is one slab of unit thickness, so the result is the slicer's own volume
+/// of the input (ending in its 2-D sweep) bit for bit, whatever route
+/// `hypervolume` takes at the input's dimension.
+double hypervolume_reference(std::vector<Point> points, Point ref) {
+  const std::size_t lifted = std::max<std::size_t>(ref.size() + 1, 4);
+  while (ref.size() < lifted) {
+    for (Point& p : points) p.push_back(0.0);
+    ref.push_back(1.0);
+  }
+  return hypervolume(points, ref);
 }
 
 TEST(ParetoSweeps, FrontMatchesReference2D3D) {

@@ -38,55 +38,5 @@ TEST(Stats, MinMax) {
   EXPECT_DOUBLE_EQ(max_of(xs), 7.0);
 }
 
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> neg = {8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonConstantSideIsZero) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const std::vector<double> ys = {5.0, 5.0, 5.0};
-  EXPECT_DOUBLE_EQ(pearson(xs, ys), 0.0);
-}
-
-TEST(Stats, RanksWithTies) {
-  const std::vector<double> xs = {10.0, 30.0, 20.0, 20.0};
-  const auto r = ranks(xs);
-  EXPECT_DOUBLE_EQ(r[0], 0.0);
-  EXPECT_DOUBLE_EQ(r[1], 3.0);
-  EXPECT_DOUBLE_EQ(r[2], 1.5);
-  EXPECT_DOUBLE_EQ(r[3], 1.5);
-}
-
-TEST(Stats, SpearmanMonotoneNonlinear) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-  std::vector<double> ys;
-  for (double x : xs) ys.push_back(std::exp(x));  // monotone, nonlinear
-  EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-}
-
-TEST(Stats, RunningStatsEmptyAndSingle) {
-  RunningStats rs;
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-  rs.add(3.0);
-  EXPECT_DOUBLE_EQ(rs.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
 }  // namespace
 }  // namespace ppat::common

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "dist/coordinator.hpp"
+#include "dist/oracles.hpp"
 #include "flow/benchmark.hpp"
 #include "flow/pd_tool.hpp"
 #include "hls/systolic.hpp"
@@ -71,15 +72,6 @@ class SyntheticOracle final : public flow::QorOracle {
   double shift_;
   std::atomic<std::size_t> runs_{0};
 };
-
-flow::ParameterSpace unit_cube_space(std::size_t dim) {
-  std::vector<flow::ParamSpec> specs;
-  specs.reserve(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    specs.push_back(flow::ParamSpec::real("u" + std::to_string(i), 0.0, 1.0));
-  }
-  return flow::ParameterSpace(std::move(specs));
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -149,7 +141,7 @@ int main(int argc, char** argv) {
       -> std::optional<server::OracleSpec> {
     if (name == "synthetic") {
       server::OracleSpec spec;
-      spec.space = unit_cube_space(dim);
+      spec.space = dist::unit_cube_space(dim);
       spec.make = [seed] { return std::make_unique<SyntheticOracle>(seed); };
       return spec;
     }
