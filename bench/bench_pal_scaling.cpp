@@ -14,6 +14,8 @@
 // Emits BENCH_pal.json (locale-independent; see bench_json.hpp) and a
 // summary table on stdout. `--smoke` runs only the 10^3 synthetic and
 // Target2 golden checks and the journal-overhead run (CI regression gate).
+// A full run also exits non-zero when the journal's overhead at 10^4
+// exceeds its 2% budget.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -319,8 +321,11 @@ int main(int argc, char** argv) {
 
   // Durable-journal overhead: the identical run with and without a
   // RunJournal (fsync-per-commit on, as in production). Acceptance budget:
-  // <= 2% of steady per-round wall-clock at N = 10^4; smoke mode measures
-  // at 10^3, which mostly gates the bit-identical fingerprint.
+  // <= 2% of steady per-round wall-clock at N = 10^4, gated in full mode;
+  // smoke mode measures at 10^3 and gates only the bit-identical
+  // fingerprint.
+  constexpr double kJournalBudget = 0.02;
+  double journal_overhead = 0.0;
   {
     const std::size_t n = smoke ? 1000 : 10000;
     const auto target = pal_benchmark("pal_target_journal", n, 22, 0.0);
@@ -349,8 +354,12 @@ int main(int argc, char** argv) {
     e.journal_overhead = e.run.steady_journal_s / e.run.steady_round_s;
     entries.push_back(e);
     print_entry(entries.back());
-    std::printf("journal overhead: %.2f%% of steady round (budget 2%%)\n",
-                100.0 * entries.back().journal_overhead);
+    journal_overhead = e.journal_overhead;
+    std::printf("journal overhead: %.2f%% of steady round (%s)\n",
+                100.0 * journal_overhead,
+                smoke ? "not gated in --smoke: the 2% budget applies at "
+                        "n = 10000"
+                      : "budget 2%");
   }
 
   write_json(entries, smoke, "BENCH_pal.json");
@@ -364,5 +373,12 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("all fingerprints match\n");
+  if (!smoke && journal_overhead > kJournalBudget) {
+    std::fprintf(stderr,
+                 "JOURNAL OVERHEAD %.2f%% of steady round exceeds its 2%% "
+                 "budget at n = 10000\n",
+                 100.0 * journal_overhead);
+    return 1;
+  }
   return 0;
 }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "baselines/reveal_log.hpp"
+#include "baselines/shared.hpp"
 #include "tree/regression_tree.hpp"
 
 namespace ppat::baselines {
@@ -42,14 +42,6 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
   common::Rng rng(options.seed);
 
   RevealLog log(pool);
-  std::vector<linalg::Vector> train_x;
-  std::vector<linalg::Vector> train_y(n_obj);
-  auto reveal = [&](std::size_t i) {
-    if (const auto y = log.reveal(i)) {
-      train_x.push_back(pool.encoded()[i]);
-      for (std::size_t k = 0; k < n_obj; ++k) train_y[k].push_back((*y)[k]);
-    }
-  };
 
   // ---- Phase 1-2: importance-guided model-less exploration ----
   const std::size_t explore_budget = std::max<std::size_t>(
@@ -90,27 +82,24 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
     }
     groups[sig].push_back(i);
   }
-  // Round-robin one random representative per group until the exploration
-  // budget is used.
-  std::vector<std::vector<std::size_t>> group_list;
-  group_list.reserve(groups.size());
-  for (auto& [sig, members] : groups) {
-    rng.shuffle(members);
-    group_list.push_back(std::move(members));
-  }
-  std::size_t cursor = 0;
-  while (pool.runs() < std::min(explore_budget, options.budget)) {
-    bool progressed = false;
-    for (auto& members : group_list) {
-      if (cursor < members.size() && pool.runs() < explore_budget) {
-        if (!log.spent(members[cursor])) {
-          reveal(members[cursor]);
-          progressed = true;  // a permanently failed reveal counts too
-        }
-      }
+  // Round-robin one random representative per group: the groups' members
+  // in shuffled order, interleaved across groups. The exploration reveals
+  // this sequence in order until its budget of runs is used; a permanently
+  // failed reveal spends a candidate but no run.
+  for (auto& [sig, members] : groups) rng.shuffle(members);
+  std::vector<std::size_t> sequence;
+  sequence.reserve(n);
+  for (std::size_t cursor = 0; sequence.size() < n; ++cursor) {
+    for (const auto& [sig, members] : groups) {
+      if (cursor < members.size()) sequence.push_back(members[cursor]);
     }
-    ++cursor;
-    if (!progressed && cursor > n) break;
+  }
+  const std::size_t explore_runs = std::min(explore_budget, options.budget);
+  for (std::size_t next = 0; pool.runs() < explore_runs && next < n;) {
+    const std::size_t take = std::min(explore_runs - pool.runs(), n - next);
+    log.reveal_batch({sequence.begin() + next,
+                      sequence.begin() + next + take});
+    next += take;
   }
   log.require_a_success("run_aspdac20");
 
@@ -122,29 +111,26 @@ tuner::TuningResult run_aspdac20(tuner::CandidatePool& pool,
     bo.seed = rng.next_u64();
     std::vector<tree::GradientBoosting> models(n_obj);
     for (std::size_t k = 0; k < n_obj; ++k) {
-      models[k].fit(train_x, train_y[k], bo);
+      models[k].fit(log.train_x(), log.train_y()[k], bo);
     }
-    std::vector<std::size_t> unrevealed_idx;
-    std::vector<pareto::Point> predicted;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (log.spent(i)) continue;
-      unrevealed_idx.push_back(i);
-      pareto::Point p(n_obj);
+    const std::vector<std::size_t> unrevealed = log.unspent();
+    if (unrevealed.empty()) break;
+    std::vector<pareto::Point> predicted(unrevealed.size(),
+                                         pareto::Point(n_obj));
+    for (std::size_t c = 0; c < unrevealed.size(); ++c) {
       for (std::size_t k = 0; k < n_obj; ++k) {
-        p[k] = models[k].predict(pool.encoded()[i]);
+        predicted[c][k] = models[k].predict(pool.encoded()[unrevealed[c]]);
       }
-      predicted.push_back(std::move(p));
     }
-    if (unrevealed_idx.empty()) break;
 
     std::vector<std::size_t> front = pareto::pareto_front_indices(predicted);
     rng.shuffle(front);
     const std::size_t batch = std::min(
         {options.batch_size, front.size(), options.budget - pool.runs()});
     if (batch == 0) break;
-    for (std::size_t b = 0; b < batch; ++b) {
-      reveal(unrevealed_idx[front[b]]);
-    }
+    std::vector<std::size_t> picks(batch);
+    for (std::size_t b = 0; b < batch; ++b) picks[b] = unrevealed[front[b]];
+    log.reveal_batch(picks);
   }
 
   return log.answer();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/reveal_log.hpp"
+#include "baselines/shared.hpp"
 #include "mf/matrix_factorization.hpp"
 
 namespace ppat::baselines {
@@ -64,22 +64,19 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
   }
 
   RevealLog log(pool);
-  auto reveal = [&](std::size_t i) {
-    if (const auto y = log.reveal(i)) {
+  // Successful reveals enter the target row.
+  auto reveal = [&](const std::vector<std::size_t>& batch) {
+    const std::size_t first = log.revealed().size();
+    log.reveal_batch(batch);
+    for (std::size_t r = first; r < log.revealed().size(); ++r) {
       for (std::size_t k = 0; k < n_obj; ++k) {
-        observed[k].push_back({1, i, (*y)[k]});
+        observed[k].push_back({1, log.revealed()[r], log.train_y()[k][r]});
       }
     }
   };
-
-  const std::size_t init_count = std::min(
-      {n, std::max(options.min_init,
-                   static_cast<std::size_t>(options.init_fraction *
-                                            static_cast<double>(n))),
-       options.budget});
-  for (std::size_t i : rng.sample_without_replacement(n, init_count)) {
-    reveal(i);
-  }
+  reveal(rng.sample_without_replacement(
+      n, initial_design_size(n, options.min_init, options.init_fraction,
+                             options.budget)));
   log.require_a_success("run_dac19");
 
   mf::MfOptions mf_opt;
@@ -95,39 +92,27 @@ tuner::TuningResult run_dac19(tuner::CandidatePool& pool,
     }
 
     // Predicted objective vectors of unrevealed candidates.
-    std::vector<std::size_t> unrevealed_idx;
-    std::vector<pareto::Point> predicted;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (log.spent(i)) continue;
-      unrevealed_idx.push_back(i);
-      pareto::Point p(n_obj);
-      for (std::size_t k = 0; k < n_obj; ++k) p[k] = models[k].predict(1, i);
-      predicted.push_back(std::move(p));
+    const std::vector<std::size_t> unrevealed = log.unspent();
+    if (unrevealed.empty()) break;
+    std::vector<pareto::Point> predicted(unrevealed.size(),
+                                         pareto::Point(n_obj));
+    for (std::size_t c = 0; c < unrevealed.size(); ++c) {
+      for (std::size_t k = 0; k < n_obj; ++k) {
+        predicted[c][k] = models[k].predict(1, unrevealed[c]);
+      }
     }
-    if (unrevealed_idx.empty()) break;
 
     // Recommend the predicted-Pareto candidates (random subset if the front
     // exceeds the batch), diversified with a share of random picks — the
     // original's recommendation lists are not purely greedy either.
-    std::vector<std::size_t> front = pareto::pareto_front_indices(predicted);
-    rng.shuffle(front);
     const std::size_t batch =
-        std::min({options.batch_size, unrevealed_idx.size(),
+        std::min({options.batch_size, unrevealed.size(),
                   options.budget - pool.runs()});
-    if (batch == 0) break;
-    std::size_t front_cursor = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::size_t pick;
-      if (rng.uniform01() < options.explore_fraction ||
-          front_cursor >= front.size()) {
-        pick = static_cast<std::size_t>(rng.next_below(unrevealed_idx.size()));
-      } else {
-        pick = front[front_cursor++];
-      }
-      const std::size_t candidate = unrevealed_idx[pick];
-      if (log.spent(candidate)) continue;  // duplicate random pick
-      reveal(candidate);
-    }
+    std::vector<std::size_t> picks = pick_predicted_front(
+        predicted, batch, options.explore_fraction, rng);
+    if (picks.empty()) break;
+    for (std::size_t& c : picks) c = unrevealed[c];
+    reveal(picks);
   }
 
   return log.answer();

@@ -69,14 +69,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::uniform01() {
   // Top 53 bits -> double in [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -62,9 +62,6 @@ class Rng {
   /// Precondition: bound > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in the closed interval [lo, hi]. Precondition: lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform01();
 

@@ -1,9 +1,6 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace ppat::common {
 
@@ -23,28 +20,5 @@ double variance(std::span<const double> xs) {
 }
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
-double median(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  double hi = v[mid];
-  if (v.size() % 2 == 1) return hi;
-  double lo =
-      *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (lo + hi);
-}
-
-double min_of(std::span<const double> xs) {
-  assert(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  assert(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
 
 }  // namespace ppat::common

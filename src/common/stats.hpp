@@ -15,11 +15,4 @@ double variance(std::span<const double> xs);
 /// Sample standard deviation.
 double stddev(std::span<const double> xs);
 
-/// Median (averages the middle pair for even n); returns 0 for an empty span.
-double median(std::span<const double> xs);
-
-/// Minimum / maximum; preconditions: non-empty.
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
 }  // namespace ppat::common

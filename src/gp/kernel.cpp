@@ -173,46 +173,6 @@ std::unique_ptr<Kernel> SquaredExponentialKernel::clone() const {
   return std::make_unique<SquaredExponentialKernel>(*this);
 }
 
-// ---- ArdSquaredExponentialKernel ----
-
-ArdSquaredExponentialKernel::ArdSquaredExponentialKernel(
-    std::size_t dims, double lengthscale, double signal_variance)
-    : lengthscales_(dims, lengthscale), signal_variance_(signal_variance) {
-  assert(dims > 0 && lengthscale > 0.0 && signal_variance > 0.0);
-}
-
-double ArdSquaredExponentialKernel::operator()(
-    std::span<const double> a, std::span<const double> b) const {
-  assert(a.size() == lengthscales_.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = (a[i] - b[i]) / lengthscales_[i];
-    s += d * d;
-  }
-  return signal_variance_ * std::exp(-0.5 * s);
-}
-
-linalg::Vector ArdSquaredExponentialKernel::hyperparameters() const {
-  linalg::Vector v;
-  v.reserve(lengthscales_.size() + 1);
-  for (double l : lengthscales_) v.push_back(std::log(l));
-  v.push_back(std::log(signal_variance_));
-  return v;
-}
-
-void ArdSquaredExponentialKernel::set_hyperparameters(
-    const linalg::Vector& log_params) {
-  assert(log_params.size() == lengthscales_.size() + 1);
-  for (std::size_t i = 0; i < lengthscales_.size(); ++i) {
-    lengthscales_[i] = std::exp(log_params[i]);
-  }
-  signal_variance_ = std::exp(log_params.back());
-}
-
-std::unique_ptr<Kernel> ArdSquaredExponentialKernel::clone() const {
-  return std::make_unique<ArdSquaredExponentialKernel>(*this);
-}
-
 // ---- MixedSpaceKernel ----
 
 MixedSpaceKernel::MixedSpaceKernel(std::vector<std::uint8_t> categorical,

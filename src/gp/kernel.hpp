@@ -131,28 +131,6 @@ class SquaredExponentialKernel final : public Kernel {
   double signal_variance_;
 };
 
-/// ARD squared-exponential: per-dimension lengthscales.
-/// Hyper-parameters (log-space): [log l_1..log l_d, log s2].
-class ArdSquaredExponentialKernel final : public Kernel {
- public:
-  ArdSquaredExponentialKernel(std::size_t dims, double lengthscale = 0.3,
-                              double signal_variance = 1.0);
-
-  double operator()(std::span<const double> a,
-                    std::span<const double> b) const override;
-  std::size_t num_hyperparameters() const override {
-    return lengthscales_.size() + 1;
-  }
-  linalg::Vector hyperparameters() const override;
-  void set_hyperparameters(const linalg::Vector& log_params) override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string name() const override { return "se_ard"; }
-
- private:
-  std::vector<double> lengthscales_;
-  double signal_variance_;
-};
-
 /// Mixed continuous/categorical kernel for encoded mixed-type spaces:
 ///
 ///   k(a, b) = s2 * exp( -||a_c - b_c||^2 / (2 l_cont^2)  -  H(a_k, b_k) / l_cat )

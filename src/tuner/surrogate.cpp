@@ -2,7 +2,23 @@
 
 #include <stdexcept>
 
+#include "common/parallel.hpp"
+
 namespace ppat::tuner {
+
+void for_each_objective(std::size_t n_obj,
+                        const std::function<void(std::size_t)>& f) {
+  common::TaskGroup group;
+  for (std::size_t k = 0; k < n_obj; ++k) group.run([&f, k] { f(k); });
+  group.wait();
+}
+
+void refit_models(const std::vector<std::unique_ptr<Surrogate>>& models,
+                  common::Rng& rng) {
+  for (const auto& m : models) m->prepare_refit(rng);
+  for_each_objective(models.size(),
+                     [&](std::size_t k) { models[k]->execute_refit(); });
+}
 
 std::unique_ptr<gp::Kernel> make_kernel(KernelKind kind) {
   switch (kind) {

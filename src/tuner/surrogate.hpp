@@ -4,7 +4,7 @@
 // "we model each QoR metric as a draw from an independent GP distribution").
 // Two surrogates are provided, both through the one exact-GP adapter
 // GpSurrogate: the paper's transfer GP (PPATuner) and a plain target-only GP
-// (the TCAD'19 baseline and the no-transfer ablation).
+// (the TCAD'19 and MLCAD'19 baselines and the no-transfer ablation).
 #pragma once
 
 #include <functional>
@@ -24,9 +24,8 @@ namespace ppat::tuner {
 ///
 /// A hyper-parameter refit is split into a cheap randomized phase
 /// (prepare_refit — draws subsamples / restart perturbations from the shared
-/// RNG) and an expensive deterministic phase (execute_refit). The tuner
-/// prepares all objectives serially — so the RNG stream is consumed exactly
-/// as a sequential implementation would — and executes them concurrently.
+/// RNG) and an expensive deterministic phase (execute_refit); refit_models
+/// schedules both.
 class Surrogate {
  public:
   virtual ~Surrogate() = default;
@@ -51,12 +50,6 @@ class Surrogate {
   /// Runs the refit prepared by the latest prepare_refit(). Deterministic;
   /// distinct surrogates may execute concurrently.
   virtual void execute_refit() = 0;
-
-  /// Re-learns hyper-parameters (expensive; the tuner schedules this).
-  void refit_hyperparameters(common::Rng& rng) {
-    prepare_refit(rng);
-    execute_refit();
-  }
 
   /// Posterior mean/variance at many inputs.
   virtual void predict_batch(const std::vector<linalg::Vector>& xs,
@@ -85,6 +78,19 @@ class Surrogate {
 
   virtual std::size_t num_target_points() const = 0;
 };
+
+/// Runs f(0), ..., f(n_obj - 1) as concurrent tasks on the calling
+/// thread's pool (in order on a pool of one). Each task may touch only its
+/// own objective's state.
+void for_each_objective(std::size_t n_obj,
+                        const std::function<void(std::size_t)>& f);
+
+/// Re-learns the hyper-parameters of one surrogate per objective.
+/// prepare_refit consumes `rng` serially, in objective order, so the stream
+/// is drawn exactly as a sequential refit would draw it; the expensive,
+/// deterministic execute_refit halves then run concurrently.
+void refit_models(const std::vector<std::unique_ptr<Surrogate>>& models,
+                  common::Rng& rng);
 
 /// Factory signature: builds one surrogate per objective.
 using SurrogateFactory =

@@ -53,27 +53,6 @@ TEST(SquaredExponential, CloneIsIndependent) {
   EXPECT_NE((*c)(x, x), k(x, x));
 }
 
-TEST(ArdKernel, PerDimensionLengthscales) {
-  ArdSquaredExponentialKernel k(2, 1.0, 1.0);
-  // Shrink the first dimension's lengthscale: distance along dim 0 matters
-  // much more.
-  k.set_hyperparameters({std::log(0.1), std::log(10.0), std::log(1.0)});
-  const linalg::Vector base = {0.0, 0.0};
-  const linalg::Vector d0 = {0.3, 0.0};
-  const linalg::Vector d1 = {0.0, 0.3};
-  EXPECT_LT(k(base, d0), k(base, d1));
-}
-
-TEST(ArdKernel, HyperparameterCountAndRoundTrip) {
-  ArdSquaredExponentialKernel k(4, 0.3, 2.0);
-  EXPECT_EQ(k.num_hyperparameters(), 5u);
-  const auto h = k.hyperparameters();
-  auto c = k.clone();
-  c->set_hyperparameters(h);
-  const linalg::Vector a = {0.1, 0.2, 0.3, 0.4}, b = {0.5, 0.5, 0.5, 0.5};
-  EXPECT_DOUBLE_EQ((*c)(a, b), k(a, b));
-}
-
 TEST(Matern52, BasicShape) {
   Matern52Kernel k(0.5, 1.0);
   const linalg::Vector a = {0.0}, b = {0.4};
@@ -109,7 +88,6 @@ TEST_P(KernelPsd, GramIsPositiveSemidefinite) {
   std::vector<std::unique_ptr<Kernel>> kernels;
   kernels.push_back(std::make_unique<SquaredExponentialKernel>(l, s2));
   kernels.push_back(std::make_unique<Matern52Kernel>(l, s2));
-  kernels.push_back(std::make_unique<ArdSquaredExponentialKernel>(3, l, s2));
   for (const auto& k : kernels) {
     const auto gram = k->gram(xs);
     // Symmetry.

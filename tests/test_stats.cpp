@@ -26,17 +26,5 @@ TEST(Stats, VarianceDegenerateCases) {
   EXPECT_DOUBLE_EQ(variance(std::vector<double>{}), 0.0);
 }
 
-TEST(Stats, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{4.0, 1.0, 3.0, 2.0}), 2.5);
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{}), 0.0);
-}
-
-TEST(Stats, MinMax) {
-  const std::vector<double> xs = {3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_of(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_of(xs), 7.0);
-}
-
 }  // namespace
 }  // namespace ppat::common

@@ -53,7 +53,8 @@ TEST(TransferGpSurrogate, CarriesSourceData) {
   const auto t = sample(f_tgt, 4, 4);
   s.fit(t.xs, t.ys);
   common::Rng rng(5);
-  s.refit_hyperparameters(rng);
+  s.prepare_refit(rng);
+  s.execute_refit();
   // With a strongly correlated source, mid-domain prediction should track
   // the target function despite only 4 target points.
   linalg::Vector means, vars;
