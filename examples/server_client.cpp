@@ -13,8 +13,6 @@
 #include <cstring>
 #include <string>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/rng.hpp"
@@ -28,15 +26,8 @@ int main(int argc, char** argv) {
   const std::string socket_path = argc > 1 ? argv[1] : "/tmp/ppat.sock";
 
   // ---- Connect. ----
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = wire::connect_unix(socket_path);
   if (fd < 0) {
-    std::perror("socket");
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     std::fprintf(stderr, "connect(%s): %s\n", socket_path.c_str(),
                  std::strerror(errno));
     return 1;

@@ -4,7 +4,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -81,29 +80,7 @@ DistributedEvalService::DistributedEvalService(flow::ParameterSpace space,
     options_.poll_interval = std::chrono::milliseconds(20);
   }
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    throw std::invalid_argument("socket path too long: " +
-                                options_.socket_path);
-  }
-  std::strncpy(addr.sun_path, options_.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(options_.socket_path.c_str());
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("coordinator socket failed: ") +
-                             std::strerror(errno));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 32) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("coordinator cannot listen on " +
-                             options_.socket_path + ": " + err);
-  }
+  listen_fd_ = wire::listen_unix(options_.socket_path, 32);
   // Non-blocking accept: the poll loop drains every queued connection
   // without ever parking on the listen socket.
   ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);

@@ -1,12 +1,9 @@
 #include "dist/worker.hpp"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <thread>
 
 #include "common/log.hpp"
@@ -19,21 +16,9 @@ namespace wire = server::wire;
 int connect_worker(const std::string& socket_path, std::size_t max_attempts,
                    std::chrono::milliseconds retry_delay) {
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof(addr.sun_path)) {
-      ::close(fd);
-      return -1;
-    }
-    std::strncpy(addr.sun_path, socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
+    const int fd = wire::connect_unix(socket_path);
+    if (fd >= 0) return fd;
+    if (errno == ENAMETOOLONG) return -1;
     // The coordinator may still be binding; back off and retry.
     if (attempt + 1 < max_attempts && retry_delay.count() > 0) {
       std::this_thread::sleep_for(retry_delay);

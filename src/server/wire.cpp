@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace ppat::server::wire {
@@ -111,6 +112,58 @@ void write_frame(int fd, MsgType type,
   w.u8(static_cast<std::uint8_t>(type));
   w.bytes(payload.data(), payload.size());
   write_exact(fd, w.buf().data(), w.buf().size());
+}
+
+namespace {
+
+/// The sockaddr_un for `path`; false when the path does not fit.
+bool unix_address(const std::string& path, sockaddr_un& addr) {
+  addr = sockaddr_un{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) return false;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return true;
+}
+
+}  // namespace
+
+int listen_unix(const std::string& path, int backlog) {
+  sockaddr_un addr;
+  if (!unix_address(path, addr)) {
+    throw std::invalid_argument("socket path too long: " + path);
+  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw std::runtime_error(std::string("socket() failed: ") +
+                             std::strerror(errno));
+  }
+  ::unlink(path.c_str());  // stale file from a dead server
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd, backlog) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("cannot listen on " + path + ": " + err);
+  }
+  return fd;
+}
+
+int connect_unix(const std::string& path) {
+  sockaddr_un addr;
+  if (!unix_address(path, addr)) {
+    errno = ENAMETOOLONG;
+    return -1;
+  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  return fd;
 }
 
 }  // namespace ppat::server::wire

@@ -97,4 +97,13 @@ using Reader = common::ByteReader<WireError, std::uint32_t>;
 std::optional<Frame> read_frame(int fd);
 void write_frame(int fd, MsgType type, const std::vector<std::uint8_t>& payload);
 
+/// A Unix stream socket listening at `path`; a stale socket file there is
+/// removed first. Throws std::invalid_argument when `path` does not fit a
+/// sockaddr_un and std::runtime_error when socket, bind or listen fails.
+int listen_unix(const std::string& path, int backlog);
+
+/// A stream socket connected to the Unix socket at `path`, or -1 with errno
+/// set (ENAMETOOLONG when `path` does not fit a sockaddr_un).
+int connect_unix(const std::string& path);
+
 }  // namespace ppat::server::wire

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -433,6 +434,34 @@ TEST(SocketServerRobustness, SurvivesMalformedClientsThenServes) {
     wire::write_frame(fd, wire::MsgType::kOpenSession, w.take());
     const std::string err = RobustServer::drain_for_error(fd);
     EXPECT_NE(err.find("empty"), std::string::npos) << err;
+    ::close(fd);
+  }
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    // 8. A non-finite candidate coordinate is rejected before decoding.
+    const int fd = server.connect();
+    wire::Writer hello;
+    hello.u32(wire::kProtocolVersion);
+    wire::write_frame(fd, wire::MsgType::kHello, hello.take());
+    ASSERT_TRUE(wire::read_frame(fd).has_value());
+    wire::Writer w;
+    w.str("synthetic");
+    w.u64(1);
+    w.u64(1);
+    w.f64(0.0);
+    w.f64(0.0);
+    w.u64(0);
+    w.u64(5);
+    w.u64(0);
+    w.u64_vec({0, 2});
+    w.u64(2);
+    w.u64(3);
+    for (int i = 0; i < 5; ++i) w.f64(0.5);
+    w.f64(bad);
+    wire::write_frame(fd, wire::MsgType::kOpenSession, w.take());
+    const std::string err = RobustServer::drain_for_error(fd);
+    EXPECT_NE(err.find("non-finite"), std::string::npos) << bad << ": " << err;
     ::close(fd);
   }
 
