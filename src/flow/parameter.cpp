@@ -296,17 +296,6 @@ double ParameterSpace::decode_dim(std::size_t i, double u) const {
   return s.min_value + static_cast<double>(level);
 }
 
-Config ParameterSpace::decode(const linalg::Vector& unit) const {
-  if (unit.size() != specs_.size()) {
-    throw std::invalid_argument("ParameterSpace::decode: dimension mismatch");
-  }
-  Config config(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    config[i] = decode_dim(i, std::clamp(unit[i], 0.0, 1.0));
-  }
-  return config;
-}
-
 linalg::Vector ParameterSpace::encode(const Config& config) const {
   if (config.size() != specs_.size()) {
     throw std::invalid_argument("ParameterSpace::encode: dimension mismatch");
@@ -398,46 +387,6 @@ double ParameterSpace::canonical_value(std::size_t i) const {
   return s.min_value;
 }
 
-std::vector<std::uint8_t> ParameterSpace::active_mask(
-    const Config& config) const {
-  if (config.size() != specs_.size()) {
-    throw std::invalid_argument("ParameterSpace::active_mask: dim mismatch");
-  }
-  std::vector<std::uint8_t> mask(specs_.size(), 1);
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const std::size_t p = active_index_[i];
-    if (p == npos) continue;
-    // Parent precedes child, so mask[p] is already resolved: a child of an
-    // inactive parent is inactive regardless of the parent's stored value.
-    mask[i] = (mask[p] != 0 &&
-               nearly_equal(config[p], specs_[i].active_value))
-                  ? 1
-                  : 0;
-  }
-  return mask;
-}
-
-Config ParameterSpace::canonicalize(const Config& config) const {
-  if (config.size() != specs_.size()) {
-    throw std::invalid_argument("ParameterSpace::canonicalize: dim mismatch");
-  }
-  Config out = config;
-  std::vector<std::uint8_t> mask(specs_.size(), 1);
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const std::size_t p = active_index_[i];
-    if (p != npos) {
-      // Activation is judged against the progressively-canonicalized
-      // parents, so deactivations cascade down the chain.
-      mask[i] = (mask[p] != 0 &&
-                 nearly_equal(out[p], specs_[i].active_value))
-                    ? 1
-                    : 0;
-    }
-    if (mask[i] == 0) out[i] = canonical_value(i);
-  }
-  return out;
-}
-
 bool ParameterSpace::is_feasible(const Config& config) const {
   if (config.size() != specs_.size()) return false;
   std::vector<std::uint8_t> mask(specs_.size(), 1);
@@ -466,10 +415,9 @@ bool ParameterSpace::is_feasible(const Config& config) const {
   return true;
 }
 
-Config ParameterSpace::decode_feasible(const linalg::Vector& unit) const {
+Config ParameterSpace::decode(const linalg::Vector& unit) const {
   if (unit.size() != specs_.size()) {
-    throw std::invalid_argument(
-        "ParameterSpace::decode_feasible: dimension mismatch");
+    throw std::invalid_argument("ParameterSpace::decode: dimension mismatch");
   }
   Config config(specs_.size());
   std::vector<std::uint8_t> mask(specs_.size(), 1);

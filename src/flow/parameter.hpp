@@ -20,9 +20,9 @@
 //   * conditional activation (`active_when(parent, value)`): the parameter
 //     is meaningful only while the parent holds `value`; in canonical form
 //     an inactive parameter is imputed at its canonical (lowest) value.
-// Spaces without any of these report has_constraints() == false and take
-// the exact legacy code paths — decode/encode arithmetic is unchanged for
-// them, which keeps all pre-existing benchmarks bitwise-reproducible.
+// decode() honours this structure; on a space without any of it
+// (has_constraints() == false) every dimension takes the plain per-type
+// arithmetic, which keeps all pre-existing benchmarks bitwise-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -108,9 +108,12 @@ class ParameterSpace {
   double value_or(const Config& config, const std::string& name,
                   double fallback) const;
 
-  /// Maps a unit-cube point to a canonical config (quantizing discrete
-  /// types). Unit coordinates are clamped to [0, 1]. Ignores divisibility
-  /// and activation — use decode_feasible for constrained spaces.
+  /// Maps a unit-cube point to a FEASIBLE canonical config (quantizing
+  /// discrete types), rejection-free. Unit coordinates are clamped to
+  /// [0, 1]. Parents decode first (specs are parent-ordered by
+  /// construction); a divisibility-constrained child maps its coordinate
+  /// over the divisors of the decoded parent value intersected with its
+  /// domain; inactive parameters are imputed at their canonical value.
   Config decode(const linalg::Vector& unit) const;
 
   /// Maps a canonical config to the unit cube (discrete types land on their
@@ -139,27 +142,11 @@ class ParameterSpace {
   /// Inactive parameters hold this value in canonical form.
   double canonical_value(std::size_t i) const;
 
-  /// Per-parameter activation given `config` (resolved top-down, so a child
-  /// of an inactive parent is inactive). Unconstrained specs are always 1.
-  std::vector<std::uint8_t> active_mask(const Config& config) const;
-
-  /// Imputes every inactive parameter at its canonical value (top-down, so
-  /// deactivations cascade). Identity on unconstrained spaces.
-  Config canonicalize(const Config& config) const;
-
   /// True iff `config` is a realizable design point: in-domain per
   /// parameter, every active divisibility constraint holds, and every
   /// inactive parameter sits at its canonical value (i.e. the config is in
   /// canonical form). Never throws.
   bool is_feasible(const Config& config) const;
-
-  /// Constraint-aware decode: maps a unit-cube point to a FEASIBLE config,
-  /// rejection-free. Parents decode first (specs are parent-ordered by
-  /// construction); a divisibility-constrained child maps its coordinate
-  /// over the divisors of the decoded parent value intersected with its
-  /// domain; inactive parameters are imputed at their canonical value.
-  /// Unconstrained dimensions use arithmetic identical to decode().
-  Config decode_feasible(const linalg::Vector& unit) const;
 
  private:
   double decode_dim(std::size_t i, double u) const;

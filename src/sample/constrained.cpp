@@ -20,16 +20,6 @@ std::string config_key(const flow::Config& config) {
 
 }  // namespace
 
-std::vector<flow::Config> dedup_configs(std::vector<flow::Config> configs) {
-  std::unordered_set<std::string> seen;
-  std::vector<flow::Config> out;
-  out.reserve(configs.size());
-  for (auto& c : configs) {
-    if (seen.insert(config_key(c)).second) out.push_back(std::move(c));
-  }
-  return out;
-}
-
 std::vector<flow::Config> constrained_lhs(const flow::ParameterSpace& space,
                                           std::size_t n, common::Rng& rng) {
   std::vector<flow::Config> out;
@@ -43,8 +33,7 @@ std::vector<flow::Config> constrained_lhs(const flow::ParameterSpace& space,
     const auto unit = latin_hypercube(want, space.size(), rng);
     bool grew = false;
     for (const auto& u : unit) {
-      flow::Config c = space.has_constraints() ? space.decode_feasible(u)
-                                               : space.decode(u);
+      flow::Config c = space.decode(u);
       if (seen.insert(config_key(c)).second) {
         out.push_back(std::move(c));
         grew = true;

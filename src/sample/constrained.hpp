@@ -1,7 +1,7 @@
 // Constraint-aware sampling over mixed/conditional parameter spaces.
 //
 // The unit-cube sampler in sampling.hpp knows nothing about types or
-// constraints; this layer composes it with ParameterSpace::decode_feasible
+// constraints; this layer composes it with ParameterSpace::decode
 // so every emitted design is feasible BY CONSTRUCTION (no rejection loop on
 // the constraint check). Discrete quantization can collapse distinct unit
 // points onto the same config, so the sampler dedups after decoding and tops
@@ -20,14 +20,10 @@
 
 namespace ppat::sample {
 
-/// Order-preserving dedup of canonical configs (bitwise key — configs from
-/// decode/decode_feasible land exactly on their level values, so bitwise
-/// equality is the right notion of "same design").
-std::vector<flow::Config> dedup_configs(std::vector<flow::Config> configs);
-
 /// Up to `n` distinct feasible configs via Latin-hypercube batches through
-/// decode_feasible. Deterministic under `rng`'s seed. Returns fewer than `n`
-/// only when the feasible set itself is smaller (dedup exhausts it).
+/// decode. Deterministic under `rng`'s seed. Returns fewer than `n` only
+/// when the feasible set itself is smaller (dedup exhausts it). Dedup keys
+/// are bitwise: decoded configs land exactly on their level values.
 std::vector<flow::Config> constrained_lhs(const flow::ParameterSpace& space,
                                           std::size_t n, common::Rng& rng);
 

@@ -27,16 +27,6 @@ std::set<std::string> keys(const std::vector<flow::Config>& configs) {
   return out;
 }
 
-TEST(DedupConfigs, CollapsesQuantizationCollisionsInOrder) {
-  std::vector<flow::Config> in = {{1.0, 2.0}, {0.0, 1.0}, {1.0, 2.0},
-                                  {0.0, 1.0}, {0.0, 0.0}};
-  const auto out = dedup_configs(in);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], (flow::Config{1.0, 2.0}));  // first occurrence wins
-  EXPECT_EQ(out[1], (flow::Config{0.0, 1.0}));
-  EXPECT_EQ(out[2], (flow::Config{0.0, 0.0}));
-}
-
 // Asking for more designs than a tiny discrete space holds must terminate
 // and return exactly the feasible set (collision top-up cannot loop forever).
 TEST(ConstrainedLhs, ExhaustsTinyDiscreteSpace) {

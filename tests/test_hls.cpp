@@ -35,7 +35,7 @@ TEST(SystolicOracle, DeterministicAndCountsRuns) {
   const auto w = small_gemm();
   const auto space = systolic_space(w);
   SystolicOracle a(w, 3), b(w, 3), other_seed(w, 4);
-  const flow::Config c = space.decode_feasible(
+  const flow::Config c = space.decode(
       linalg::Vector(space.size(), 0.6));
   const flow::QoR qa = a.evaluate(space, c);
   const flow::QoR qb = b.evaluate(space, c);
@@ -53,7 +53,7 @@ TEST(SystolicOracle, RejectsInfeasibleConfigs) {
   const auto w = small_gemm();
   const auto space = systolic_space(w);
   SystolicOracle oracle(w, 1);
-  flow::Config c = space.decode_feasible(linalg::Vector(space.size(), 0.9));
+  flow::Config c = space.decode(linalg::Vector(space.size(), 0.9));
   // Break divisibility: simd = 8 with lat_hide forced to a non-multiple.
   c[space.index_of("lat_hide")] = 1.0;
   c[space.index_of("simd")] = 8.0;

@@ -127,29 +127,21 @@ TEST(ParameterSpace, LegacySpacesReportNoConstraints) {
   EXPECT_FALSE(make_space().has_constraints());
 }
 
-TEST(ParameterSpace, ActiveMaskAndCanonicalize) {
+TEST(ParameterSpace, DeactivationCascadesInDecodeAndFeasibility) {
   const ParameterSpace space({
       ParamSpec::boolean("outer"),
       ParamSpec::boolean("mid").active_when("outer", 1.0),
       ParamSpec::integer_levels("leaf", {1, 2, 4}).active_when("mid", 1.0),
   });
-  {
-    const Config c = {1.0, 1.0, 4.0};
-    const auto mask = space.active_mask(c);
-    EXPECT_EQ(mask, (std::vector<std::uint8_t>{1, 1, 1}));
-    EXPECT_EQ(space.canonicalize(c), c);
-    EXPECT_TRUE(space.is_feasible(c));
-  }
-  {
-    // Outer off: the whole chain deactivates, even though mid == 1.
-    const Config c = {0.0, 1.0, 4.0};
-    const auto mask = space.active_mask(c);
-    EXPECT_EQ(mask, (std::vector<std::uint8_t>{1, 0, 0}));
-    const Config canon = space.canonicalize(c);
-    EXPECT_EQ(canon, (Config{0.0, 0.0, 1.0}));
-    EXPECT_FALSE(space.is_feasible(c));  // not in canonical form
-    EXPECT_TRUE(space.is_feasible(canon));
-  }
+  const Config all_on = {1.0, 1.0, 4.0};
+  EXPECT_EQ(space.decode({0.9, 0.9, 0.9}), all_on);
+  EXPECT_TRUE(space.is_feasible(all_on));
+  // Outer off: the whole chain deactivates, even though mid's coordinate
+  // asks for 1, and decode imputes both at their canonical values.
+  const Config canon = {0.0, 0.0, 1.0};
+  EXPECT_EQ(space.decode({0.1, 0.9, 0.9}), canon);
+  EXPECT_FALSE(space.is_feasible({0.0, 1.0, 4.0}));  // not in canonical form
+  EXPECT_TRUE(space.is_feasible(canon));
 }
 
 TEST(ParameterSpace, FeasibilityChecksDivisibility) {
@@ -176,7 +168,7 @@ TEST(ParameterSpace, DecodeFeasibleIsAlwaysFeasibleAndSpansLevels) {
     for (int b = 0; b <= 1; ++b) {
       for (int c = 0; c <= 10; ++c) {
         const linalg::Vector u = {a / 10.0, static_cast<double>(b), c / 10.0};
-        const Config cfg = space.decode_feasible(u);
+        const Config cfg = space.decode(u);
         ASSERT_TRUE(space.is_feasible(cfg))
             << "u = (" << u[0] << ", " << u[1] << ", " << u[2] << ")";
         if (std::find(seen.begin(), seen.end(), cfg[2]) == seen.end()) {
@@ -188,12 +180,6 @@ TEST(ParameterSpace, DecodeFeasibleIsAlwaysFeasibleAndSpansLevels) {
   }
   // The child coordinate must actually range over divisors, not collapse.
   EXPECT_GT(distinct_children, 3u);
-}
-
-TEST(ParameterSpace, DecodeFeasibleMatchesDecodeOnLegacySpaces) {
-  const auto space = make_space();
-  const linalg::Vector u = {0.37, 0.61, 0.45, 0.9};
-  EXPECT_EQ(space.decode(u), space.decode_feasible(u));
 }
 
 TEST(ParameterSpace, DuplicateNamesRejected) {

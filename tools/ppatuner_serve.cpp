@@ -154,9 +154,8 @@ int main(int argc, char** argv) {
       };
       return spec;
     }
-    // The HLS family: constrained spaces, so the socket server decodes the
-    // client's unit points via decode_feasible and the session defaults to
-    // the mixed-space kernel.
+    // The HLS family: constrained spaces, so decode honours divisibility
+    // and activation and the session defaults to the mixed-space kernel.
     if (name == "hls_small" || name == "hls_large") {
       const auto& space = name == "hls_small" ? hls_small_space
                                               : hls_large_space;
