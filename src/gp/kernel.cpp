@@ -9,8 +9,8 @@
 namespace ppat::gp {
 namespace {
 
-// Gram/cross matrices smaller than this many entries are not worth a
-// fork/join round trip.
+// Gram matrices smaller than this many entries are not worth a fork/join
+// round trip.
 constexpr std::size_t kParallelGramEntries = 4096;
 
 }  // namespace
@@ -23,24 +23,6 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
     s += d * d;
   }
   return s;
-}
-
-linalg::Matrix squared_distance_matrix(const std::vector<linalg::Vector>& xs) {
-  const std::size_t n = xs.size();
-  linalg::Matrix sq(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v = squared_distance(xs[i], xs[j]);
-      sq(i, j) = v;
-      sq(j, i) = v;
-    }
-  }
-  return sq;
-}
-
-double Kernel::eval_from_sqdist(double) const {
-  throw std::logic_error("Kernel::eval_from_sqdist: " + name() +
-                         " is not an isotropic squared-distance kernel");
 }
 
 linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& xs) const {
@@ -66,59 +48,28 @@ linalg::Matrix Kernel::gram(const std::vector<linalg::Vector>& xs) const {
   return k;
 }
 
-linalg::Matrix Kernel::cross(const std::vector<linalg::Vector>& xs,
-                             const std::vector<linalg::Vector>& zs) const {
-  linalg::Matrix k(xs.size(), zs.size());
-  auto fill_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = 0; j < zs.size(); ++j) {
-        k(i, j) = (*this)(xs[i], zs[j]);
-      }
-    }
-  };
-  if (xs.size() * zs.size() >= kParallelGramEntries) {
-    common::parallel_for_blocks(0, xs.size(), fill_rows, 8);
-  } else {
-    fill_rows(0, xs.size());
-  }
-  return k;
-}
-
-linalg::Matrix Kernel::gram_from_sqdist(const linalg::Matrix& sqdist) const {
-  assert(sqdist.rows() == sqdist.cols());
-  const std::size_t n = sqdist.rows();
-  linalg::Matrix k(n, n);
-  // Only the upper triangle is populated: the sole consumer is the cached-NLL
-  // path, which hands the matrix straight to CholeskyFactor::compute(), and
-  // that reads the upper triangle only. Skipping the mirror avoids n^2/2
-  // strided stores.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      k(i, j) = eval_from_sqdist(sqdist(i, j));
-    }
-  }
-  return k;
-}
-
 Kernel::PairwiseStats Kernel::pairwise_stats(
     const std::vector<linalg::Vector>& xs) const {
-  if (!supports_sqdist()) {
+  if (!supports_pairwise_cache()) {
     throw std::logic_error("Kernel::pairwise_stats: " + name() +
                            " does not support the pairwise cache");
   }
+  const std::size_t n = xs.size();
   PairwiseStats stats;
-  stats.sqdist = squared_distance_matrix(xs);
+  stats.sqdist = linalg::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const double v = squared_distance(xs[i], xs[j]);
+      stats.sqdist(i, j) = v;
+      stats.sqdist(j, i) = v;
+    }
+  }
   return stats;
 }
 
-double Kernel::eval_from_pairwise(double sqdist, double mismatch) const {
-  assert(mismatch == 0.0);
-  (void)mismatch;
-  return eval_from_sqdist(sqdist);
-}
-
-linalg::Matrix Kernel::gram_from_pairwise(const PairwiseStats& stats) const {
-  return gram_from_sqdist(stats.sqdist);
+linalg::Matrix Kernel::gram_from_pairwise(const PairwiseStats&) const {
+  throw std::logic_error("Kernel::gram_from_pairwise: " + name() +
+                         " does not support the pairwise cache");
 }
 
 // ---- SquaredExponentialKernel ----
@@ -131,21 +82,18 @@ SquaredExponentialKernel::SquaredExponentialKernel(double lengthscale,
 
 double SquaredExponentialKernel::operator()(std::span<const double> a,
                                             std::span<const double> b) const {
-  return eval_from_sqdist(squared_distance(a, b));
+  return signal_variance_ * std::exp(-0.5 * squared_distance(a, b) /
+                                    (lengthscale_ * lengthscale_));
 }
 
-double SquaredExponentialKernel::eval_from_sqdist(double sqdist) const {
-  return signal_variance_ *
-         std::exp(-0.5 * sqdist / (lengthscale_ * lengthscale_));
-}
-
-linalg::Matrix SquaredExponentialKernel::gram_from_sqdist(
-    const linalg::Matrix& sqdist) const {
+linalg::Matrix SquaredExponentialKernel::gram_from_pairwise(
+    const PairwiseStats& stats) const {
+  const linalg::Matrix& sqdist = stats.sqdist;
   assert(sqdist.rows() == sqdist.cols());
   const std::size_t n = sqdist.rows();
   linalg::Matrix k(n, n);
-  // Same chain as eval_from_sqdist() — (-0.5 * d), / l^2, exp, * s2 — with
-  // the virtual dispatch and member loads hoisted out of the n^2/2 loop.
+  // Same chain as operator() — (-0.5 * d), / l^2, exp, * s2 — with the
+  // member loads hoisted out of the n^2/2 loop.
   const double sv = signal_variance_;
   const double ll = lengthscale_ * lengthscale_;
   for (std::size_t i = 0; i < n; ++i) {
@@ -243,23 +191,14 @@ Kernel::PairwiseStats MixedSpaceKernel::pairwise_stats(
   return stats;
 }
 
-double MixedSpaceKernel::eval_from_pairwise(double sqdist,
-                                            double mismatch) const {
-  return signal_variance_ *
-         std::exp(-0.5 * sqdist / (cont_lengthscale_ * cont_lengthscale_) -
-                  mismatch / cat_lengthscale_);
-}
-
 linalg::Matrix MixedSpaceKernel::gram_from_pairwise(
     const PairwiseStats& stats) const {
   assert(stats.sqdist.rows() == stats.sqdist.cols() &&
          stats.mismatch.rows() == stats.sqdist.rows());
   const std::size_t n = stats.sqdist.rows();
   linalg::Matrix k(n, n);
-  // Same chain as eval_from_pairwise()/operator() — (-0.5 * sq / l_c^2) -
-  // (mm / l_k), exp, * s2 — with the virtual dispatch and member loads
-  // hoisted out of the n^2/2 loop. Upper triangle only (gram_from_sqdist
-  // contract).
+  // Same chain as operator() — (-0.5 * sq / l_c^2) - (mm / l_k), exp,
+  // * s2 — with the member loads hoisted out of the n^2/2 loop.
   const double sv = signal_variance_;
   const double ll = cont_lengthscale_ * cont_lengthscale_;
   const double cl = cat_lengthscale_;
@@ -299,20 +238,17 @@ Matern52Kernel::Matern52Kernel(double lengthscale, double signal_variance)
 
 double Matern52Kernel::operator()(std::span<const double> a,
                                   std::span<const double> b) const {
-  return eval_from_sqdist(squared_distance(a, b));
-}
-
-double Matern52Kernel::eval_from_sqdist(double sqdist) const {
-  const double r = std::sqrt(5.0 * sqdist) / lengthscale_;
+  const double r = std::sqrt(5.0 * squared_distance(a, b)) / lengthscale_;
   return signal_variance_ * (1.0 + r + r * r / 3.0) * std::exp(-r);
 }
 
-linalg::Matrix Matern52Kernel::gram_from_sqdist(
-    const linalg::Matrix& sqdist) const {
+linalg::Matrix Matern52Kernel::gram_from_pairwise(
+    const PairwiseStats& stats) const {
+  const linalg::Matrix& sqdist = stats.sqdist;
   assert(sqdist.rows() == sqdist.cols());
   const std::size_t n = sqdist.rows();
   linalg::Matrix k(n, n);
-  // Verbatim eval_from_sqdist() expression with dispatch and loads hoisted.
+  // Verbatim operator() expression with the member loads hoisted.
   const double sv = signal_variance_;
   const double l = lengthscale_;
   for (std::size_t i = 0; i < n; ++i) {

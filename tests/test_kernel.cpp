@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -127,7 +128,6 @@ TEST(MixedSpaceKernel, HammingOverCategoricalSeOverContinuous) {
 TEST(MixedSpaceKernel, HyperparametersRoundTripAndClone) {
   MixedSpaceKernel k({1, 0}, 0.3, 1.0, 1.0);
   EXPECT_EQ(k.num_hyperparameters(), 3u);
-  EXPECT_FALSE(k.supports_sqdist());
   EXPECT_EQ(k.name(), "mixed");
   const linalg::Vector logp = {std::log(0.7), std::log(3.0), std::log(2.0)};
   k.set_hyperparameters(logp);
@@ -184,27 +184,18 @@ std::vector<linalg::Vector> mixed_points(std::size_t n, std::uint64_t seed) {
 TEST(MixedSpaceKernel, PairwiseCacheIsBitIdenticalToDirect) {
   MixedSpaceKernel k({0, 1, 1, 0}, 0.4, 1.7, 2.3);
   ASSERT_TRUE(k.supports_pairwise_cache());
-  ASSERT_FALSE(k.supports_sqdist());
   const auto xs = mixed_points(24, 11);
   const auto stats = k.pairwise_stats(xs);
   ASSERT_EQ(stats.sqdist.rows(), xs.size());
   ASSERT_EQ(stats.mismatch.rows(), xs.size());
 
-  // Scalar map parity (exact equality, not tolerance: the cached chain must
-  // replay the same floating-point operations in the same order).
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      EXPECT_EQ(k.eval_from_pairwise(stats.sqdist(i, j), stats.mismatch(i, j)),
-                k(xs[i], xs[j]))
-          << i << "," << j;
-    }
-  }
-  // Gram parity on the populated (upper) triangle.
-  const auto direct = k.gram(xs);
+  // Exact equality on the populated (upper) triangle, not tolerance: the
+  // cached chain must replay operator()'s floating-point operations in the
+  // same order.
   const auto cached = k.gram_from_pairwise(stats);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     for (std::size_t j = i; j < xs.size(); ++j) {
-      EXPECT_EQ(cached(i, j), direct(i, j)) << i << "," << j;
+      EXPECT_EQ(cached(i, j), k(xs[i], xs[j])) << i << "," << j;
     }
   }
 }
@@ -229,32 +220,29 @@ TEST(MixedSpaceKernel, PairwiseCacheSurvivesHyperparameterChange) {
   }
 }
 
-TEST(IsotropicKernels, PairwiseCacheDelegatesToSqdistPath) {
-  SquaredExponentialKernel se(0.4, 1.3);
-  ASSERT_TRUE(se.supports_pairwise_cache());
-  std::vector<linalg::Vector> xs = {{0.1, 0.9}, {0.5, 0.2}, {0.8, 0.4}};
-  const auto stats = se.pairwise_stats(xs);
-  EXPECT_EQ(stats.mismatch.rows(), 0u);
-  const auto from_sq = se.gram_from_sqdist(stats.sqdist);
-  const auto from_pw = se.gram_from_pairwise(stats);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    for (std::size_t j = i; j < xs.size(); ++j) {
-      EXPECT_EQ(from_pw(i, j), from_sq(i, j));
-    }
+TEST(IsotropicKernels, PairwiseCacheIsBitIdenticalToDirect) {
+  common::Rng rng(17);
+  std::vector<linalg::Vector> xs;
+  for (int i = 0; i < 24; ++i) {
+    xs.push_back({rng.uniform01(), rng.uniform01(), rng.uniform01()});
   }
-  EXPECT_EQ(se.eval_from_pairwise(0.33, 0.0), se.eval_from_sqdist(0.33));
-}
-
-TEST(KernelGram, CrossMatchesElementwise) {
-  SquaredExponentialKernel k(0.4, 1.0);
-  std::vector<linalg::Vector> xs = {{0.1}, {0.5}};
-  std::vector<linalg::Vector> zs = {{0.2}, {0.8}, {0.9}};
-  const auto cross = k.cross(xs, zs);
-  ASSERT_EQ(cross.rows(), 2u);
-  ASSERT_EQ(cross.cols(), 3u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(cross(i, j), k(xs[i], zs[j]));
+  std::vector<std::unique_ptr<Kernel>> kernels;
+  kernels.push_back(std::make_unique<SquaredExponentialKernel>(0.4, 1.3));
+  kernels.push_back(std::make_unique<Matern52Kernel>(0.4, 1.3));
+  for (const auto& k : kernels) {
+    ASSERT_TRUE(k->supports_pairwise_cache());
+    const auto stats = k->pairwise_stats(xs);
+    EXPECT_EQ(stats.mismatch.rows(), 0u);
+    // One statistic serves every hyper-parameter point of a refit search.
+    for (const double l : {0.17, 0.4, 2.5}) {
+      k->set_hyperparameters({std::log(l), std::log(0.6)});
+      const auto cached = k->gram_from_pairwise(stats);
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        for (std::size_t j = i; j < xs.size(); ++j) {
+          EXPECT_EQ(cached(i, j), (*k)(xs[i], xs[j]))
+              << k->name() << " l=" << l << " " << i << "," << j;
+        }
+      }
     }
   }
 }

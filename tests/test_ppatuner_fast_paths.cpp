@@ -175,7 +175,7 @@ TEST_F(FastPathParityTest, PlainGpSurrogates) {
 
 TEST_F(FastPathParityTest, MaternTransferSurrogates) {
   // Matern 5/2 refits take the pairwise-cache NLL through its
-  // gram_from_sqdist loop.
+  // gram_from_pairwise loop.
   const auto factory = make_transfer_gp_factory(
       source_data(kAreaPowerDelay), KernelKind::kMatern52);
   expect_golden(kAreaPowerDelay, factory, base_options(4),
