@@ -113,11 +113,11 @@ std::size_t global_thread_count() {
   return global_thread_pool().num_threads();
 }
 
-// ---- parallel_for ----
+// ---- parallel_for_blocks ----
 
 namespace {
 
-/// Completion latch shared by the blocks of one parallel_for call.
+/// Completion latch shared by the blocks of one parallel_for_blocks call.
 struct ForkJoinState {
   std::mutex mutex;
   std::condition_variable cv;
@@ -179,7 +179,7 @@ void parallel_for_blocks(
     lo = hi;
   }
   {
-    InTaskScope scope;  // nested parallel_for inside fn runs inline
+    InTaskScope scope;  // nested parallel work inside fn runs inline
     std::exception_ptr e;
     try {
       fn(begin, first_hi);
@@ -189,17 +189,6 @@ void parallel_for_blocks(
     state->finish_one(std::move(e));
   }
   state->wait();
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  parallel_for_blocks(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      grain);
 }
 
 // ---- TaskGroup ----

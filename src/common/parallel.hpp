@@ -5,7 +5,7 @@
 // kernels (Gram assembly, multi-RHS triangular solves) row/column-partition
 // cleanly. Both are served by one reusable pool:
 //
-//   * `parallel_for` / `parallel_for_blocks` — static block partition over a
+//   * `parallel_for_blocks` — static block partition over a
 //     fixed index range. Every output element is written by exactly one task
 //     and each element's arithmetic is independent of the partition, so
 //     results are bit-identical for any thread count (including 1).
@@ -17,19 +17,19 @@
 // executes inline in the calling thread (no queue re-entry), which both
 // avoids deadlock and keeps the worker count bounded. The inline fallback is
 // keyed on the CALLING THREAD being a pool worker — of any pool — so a
-// worker of pool A that reaches a parallel_for targeting pool B still runs
+// worker of pool A that reaches a parallel_for_blocks targeting pool B runs
 // inline instead of blocking on B's queue; a pool saturated by other
 // sessions can therefore never deadlock a reentrant caller.
 //
 // A pool of size 1 spawns no threads at all — everything runs inline in the
 // caller, byte-for-byte identical to code written as plain loops.
 //
-// Multi-session use: parallel_for / TaskGroup route through the CALLING
-// THREAD's current pool — the global singleton by default, or a per-session
-// pool installed with ScopedPool. A long-running server hosts one pool per
-// tuning session and brackets each session's work in a ScopedPool on the
-// session thread, so sessions never contend on the global pool, which has a
-// fixed size. tuner::run_ppatuner always runs under a ScopedPool (the
+// Multi-session use: parallel_for_blocks and TaskGroup route through the
+// CALLING THREAD's current pool — the global singleton by default, or a
+// per-session pool installed with ScopedPool. A long-running server hosts
+// one pool per tuning session and brackets each session's work in a
+// ScopedPool on the session thread, so sessions never contend on the global
+// pool, which has a fixed size. tuner::run_ppatuner always runs under a ScopedPool (the
 // caller's pool or one it owns).
 #pragma once
 
@@ -42,7 +42,7 @@ namespace ppat::common {
 
 /// Fixed-size worker pool. `num_threads` counts the calling thread: a pool
 /// of size T spawns T-1 workers and the submitting thread participates in
-/// `parallel_for`, so total CPU concurrency is exactly T.
+/// `parallel_for_blocks`, so total CPU concurrency is exactly T.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -78,8 +78,8 @@ ThreadPool& global_thread_pool();
 std::size_t global_thread_count();
 
 /// The calling thread's pool: the innermost active ScopedPool override, or
-/// the global singleton when none is installed. parallel_for,
-/// parallel_for_blocks, and TaskGroup's default constructor all route
+/// the global singleton when none is installed. parallel_for_blocks and
+/// TaskGroup's default constructor both route
 /// through this, so installing a ScopedPool redirects every nested parallel
 /// construct on this thread without threading a pool through call sites.
 ThreadPool& current_thread_pool();
@@ -111,12 +111,6 @@ class ScopedPool {
 void parallel_for_blocks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_block = 1);
-
-/// Element-wise convenience over parallel_for_blocks: `fn(i)` for each i in
-/// [begin, end), chunked with at least `grain` elements per task.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
 
 /// Runs independent tasks on a pool and waits for all of them. Submission
 /// order is preserved when executing inline (pool of one / nested), so a

@@ -169,8 +169,4 @@ std::vector<RunRecord> EvalService::evaluate_batch(
   return records;
 }
 
-RunRecord EvalService::evaluate(const Config& config) {
-  return evaluate_batch({config}).front();
-}
-
 }  // namespace ppat::flow

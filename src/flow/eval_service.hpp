@@ -138,10 +138,6 @@ class EvalService final : public BatchEvaluator {
   EvalService(const EvalService&) = delete;
   EvalService& operator=(const EvalService&) = delete;
 
-  /// Evaluates one configuration (all retries included). Never throws for
-  /// run failures.
-  RunRecord evaluate(const Config& config);
-
   /// Evaluates a batch with at most `licenses` runs in flight, invoking
   /// `observer` (if set) as each configuration completes. Record i
   /// corresponds to configs[i] regardless of completion order.

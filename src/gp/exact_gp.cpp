@@ -153,12 +153,6 @@ double ExactGp::log_marginal_likelihood() const {
   return -gaussian_nll(ys_std_, alpha_, chol_->log_det());
 }
 
-Prediction ExactGp::predict(const linalg::Vector& x) const {
-  linalg::Vector means, variances;
-  predict_batch({x}, means, variances);
-  return {means[0], variances[0]};
-}
-
 void ExactGp::predict_batch(const std::vector<linalg::Vector>& xs,
                             linalg::Vector& means,
                             linalg::Vector& variances) const {

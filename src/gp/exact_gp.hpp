@@ -35,12 +35,6 @@
 
 namespace ppat::gp {
 
-/// Posterior mean and variance at one input.
-struct Prediction {
-  double mean = 0.0;
-  double variance = 0.0;
-};
-
 /// Hyper-parameters of the joint system, read from one log-space vector.
 struct JointHypers {
   linalg::Vector kernel;      ///< kernel log-parameters
@@ -99,11 +93,8 @@ class ExactGp {
   /// re-factorization. Thread-safe across distinct models.
   void execute_refit(const RefitPlan& plan);
 
-  /// Posterior at a target-task input, without the observation noise (the
+  /// Posterior over target-task inputs, without the observation noise (the
   /// tuner reasons about the latent response surface).
-  Prediction predict(const linalg::Vector& x) const;
-
-  /// Batched posterior over target-task inputs.
   void predict_batch(const std::vector<linalg::Vector>& xs,
                      linalg::Vector& means, linalg::Vector& variances) const;
 

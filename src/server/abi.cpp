@@ -53,14 +53,6 @@ class BridgePool final : public CandidatePool {
     return objectives_;
   }
 
-  ppat::pareto::Point reveal(std::size_t i) override {
-    auto outcomes = reveal_batch({i});
-    if (!outcomes[0].ok) {
-      throw ppat::tuner::PoolEvaluationError(outcomes[0].error);
-    }
-    return outcomes[0].value;
-  }
-
   // Tuner side: publish unanswered indices, block until the embedder has
   // answered every one of them (ppat_set_result) or the session stops, then
   // report each position to `on_outcome` outside the lock.

@@ -105,12 +105,4 @@ std::vector<CandidatePool::RevealOutcome> LiveCandidatePool::reveal_batch(
   return outcomes;
 }
 
-pareto::Point LiveCandidatePool::reveal(std::size_t i) {
-  const auto outcomes = reveal_batch({i});
-  if (!outcomes.front().ok) {
-    throw PoolEvaluationError(outcomes.front().error);
-  }
-  return outcomes.front().value;
-}
-
 }  // namespace ppat::tuner

@@ -8,9 +8,9 @@
 //   * the first SUCCESSFUL reveal of a candidate counts as one tool run;
 //     repeats are free (memoized);
 //   * a candidate whose evaluation permanently fails (EvalService exhausted
-//     its retries) is remembered as failed: reveal() throws
-//     PoolEvaluationError and reveal_batch() reports ok = false, on the
-//     first and on every later attempt, and it never counts as a run.
+//     its retries) is remembered as failed: reveal_batch() reports
+//     ok = false on the first and on every later attempt, and it never
+//     counts as a run.
 //
 // With a fault-free oracle this pool is observationally identical to a
 // BenchmarkCandidatePool built from the same configurations, for any
@@ -49,7 +49,6 @@ class LiveCandidatePool final : public CandidatePool {
     return objectives_;
   }
 
-  pareto::Point reveal(std::size_t i) override;
   /// Dispatches the unknown candidates as one evaluator batch; `on_outcome`
   /// sees each outcome from the worker thread as its run ends.
   std::vector<RevealOutcome> reveal_batch(

@@ -13,23 +13,6 @@ const char* objective_space_name(const std::vector<std::size_t>& objectives) {
   return "custom";
 }
 
-std::vector<CandidatePool::RevealOutcome> CandidatePool::reveal_batch(
-    const std::vector<std::size_t>& indices,
-    const RevealObserver& on_outcome) {
-  std::vector<RevealOutcome> outcomes(indices.size());
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    try {
-      outcomes[j].value = reveal(indices[j]);
-      outcomes[j].ok = true;
-    } catch (const PoolEvaluationError& e) {
-      outcomes[j].ok = false;
-      outcomes[j].error = e.what();
-    }
-    if (on_outcome) on_outcome(j, outcomes[j]);
-  }
-  return outcomes;
-}
-
 BenchmarkCandidatePool::BenchmarkCandidatePool(
     const flow::BenchmarkSet* benchmark, std::vector<std::size_t> objectives)
     : benchmark_(benchmark), objectives_(std::move(objectives)) {
@@ -53,12 +36,21 @@ pareto::Point BenchmarkCandidatePool::golden(std::size_t i) const {
   return p;
 }
 
-pareto::Point BenchmarkCandidatePool::reveal(std::size_t i) {
-  if (!revealed_.at(i)) {
-    revealed_[i] = true;
-    ++runs_;
+std::vector<CandidatePool::RevealOutcome> BenchmarkCandidatePool::reveal_batch(
+    const std::vector<std::size_t>& indices,
+    const RevealObserver& on_outcome) {
+  std::vector<RevealOutcome> outcomes(indices.size());
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    const std::size_t i = indices[j];
+    if (!revealed_.at(i)) {  // a repeat, even within this batch, is free
+      revealed_[i] = true;
+      ++runs_;
+    }
+    outcomes[j].ok = true;
+    outcomes[j].value = golden(i);
+    if (on_outcome) on_outcome(j, outcomes[j]);
   }
-  return golden(i);
+  return outcomes;
 }
 
 std::vector<pareto::Point> BenchmarkCandidatePool::golden_front() const {

@@ -34,9 +34,9 @@ inline const std::vector<std::size_t> kPowerDelay = {1, 2};
 inline const std::vector<std::size_t> kAreaPowerDelay = {0, 1, 2};
 const char* objective_space_name(const std::vector<std::size_t>& objectives);
 
-/// Thrown by CandidatePool::reveal when a candidate's evaluation has
-/// permanently failed (exhausted retries). Batch users should prefer
-/// reveal_batch, which reports failures as per-candidate outcomes instead.
+/// Thrown by a tuning method when every one of its initial reveals failed
+/// permanently, leaving it no data to fit (reveal_batch itself reports
+/// failures as per-candidate outcomes).
 class PoolEvaluationError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -59,10 +59,6 @@ class CandidatePool {
   /// QoR metric indices forming the objective vector.
   virtual const std::vector<std::size_t>& objectives() const = 0;
 
-  /// Reveals candidate i's golden objective vector. Throws
-  /// PoolEvaluationError if the evaluation permanently failed.
-  virtual pareto::Point reveal(std::size_t i) = 0;
-
   /// Outcome of one candidate in a batch reveal. The run-accounting fields
   /// exist so journaling callers can persist the true outcome; offline
   /// pools report the defaults (one instantaneous successful attempt).
@@ -83,13 +79,13 @@ class CandidatePool {
   using RevealObserver =
       std::function<void(std::size_t position, const RevealOutcome& outcome)>;
 
-  /// Reveals many candidates; failures come back as per-candidate outcomes
-  /// (never throws for run failures), and `on_outcome` (when set) sees each
-  /// one as it completes. Live pools dispatch the whole batch concurrently
-  /// across tool licenses; the default implementation reveals sequentially.
+  /// Reveals many candidates (a single reveal is a batch of one); failures
+  /// come back as per-candidate outcomes (never throws for run failures),
+  /// and `on_outcome` (when set) sees each one as it completes. Live pools
+  /// dispatch the whole batch concurrently across tool licenses.
   virtual std::vector<RevealOutcome> reveal_batch(
       const std::vector<std::size_t>& indices,
-      const RevealObserver& on_outcome = {});
+      const RevealObserver& on_outcome = {}) = 0;
 
   virtual bool is_revealed(std::size_t i) const = 0;
   /// Successful first reveals so far ("tool runs" in the paper's metric).
@@ -116,7 +112,10 @@ class BenchmarkCandidatePool final : public CandidatePool {
     return objectives_;
   }
 
-  pareto::Point reveal(std::size_t i) override;
+  /// Every outcome succeeds at once (attempts = 1, elapsed_ms = 0).
+  std::vector<RevealOutcome> reveal_batch(
+      const std::vector<std::size_t>& indices,
+      const RevealObserver& on_outcome = {}) override;
   bool is_revealed(std::size_t i) const override { return revealed_[i]; }
   std::size_t runs() const override { return runs_; }
 

@@ -9,7 +9,7 @@
 namespace ppat::testing {
 
 /// Forwards every call to `inner` and records each reveal_batch call's
-/// indices as one batch (a single reveal is a batch of one).
+/// indices as one batch.
 class RecordingPool final : public tuner::CandidatePool {
  public:
   explicit RecordingPool(tuner::CandidatePool& inner) : inner_(inner) {}
@@ -23,10 +23,6 @@ class RecordingPool final : public tuner::CandidatePool {
   }
   const std::vector<std::size_t>& objectives() const override {
     return inner_.objectives();
-  }
-  pareto::Point reveal(std::size_t i) override {
-    batches_.push_back({i});
-    return inner_.reveal(i);
   }
   std::vector<RevealOutcome> reveal_batch(
       const std::vector<std::size_t>& indices,

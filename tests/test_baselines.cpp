@@ -186,12 +186,20 @@ class FailingPool final : public tuner::CandidatePool {
   const std::vector<std::size_t>& objectives() const override {
     return inner_.objectives();
   }
-  pareto::Point reveal(std::size_t i) override {
-    if (fails(i)) {
-      failed_.insert(i);
-      throw tuner::PoolEvaluationError("tool run failed");
+  std::vector<RevealOutcome> reveal_batch(
+      const std::vector<std::size_t>& indices,
+      const RevealObserver& on_outcome = {}) override {
+    std::vector<RevealOutcome> outcomes;
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      if (fails(indices[j])) {
+        failed_.insert(indices[j]);
+        outcomes.emplace_back().error = "tool run failed";
+      } else {
+        outcomes.push_back(inner_.reveal_batch({indices[j]}).front());
+      }
+      if (on_outcome) on_outcome(j, outcomes.back());
     }
-    return inner_.reveal(i);
+    return outcomes;
   }
   bool is_revealed(std::size_t i) const override {
     return inner_.is_revealed(i);

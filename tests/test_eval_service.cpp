@@ -117,7 +117,7 @@ TEST(EvalService, RetriesTransientFailuresUpToMaxAttempts) {
   opt.max_attempts = 3;
   flow::EvalService service(flaky, space, opt);
 
-  const auto record = service.evaluate(configs[0]);
+  const auto record = service.evaluate_batch({configs[0]}).front();
   EXPECT_TRUE(record.ok()) << record.error;
   EXPECT_EQ(record.attempts, 3u);
   EXPECT_EQ(record.retries(), 2u);
@@ -136,7 +136,7 @@ TEST(EvalService, ExhaustedRetriesRecordPermanentFailure) {
   opt.max_attempts = 3;
   flow::EvalService service(flaky, space, opt);
 
-  const auto record = service.evaluate(configs[0]);
+  const auto record = service.evaluate_batch({configs[0]}).front();
   EXPECT_FALSE(record.ok());
   EXPECT_EQ(record.status, flow::RunStatus::kFailed);
   EXPECT_EQ(record.attempts, 3u);
@@ -156,7 +156,7 @@ TEST(EvalService, SingleAttemptDisablesRetry) {
   opt.max_attempts = 1;
   flow::EvalService service(flaky, space, opt);
 
-  const auto record = service.evaluate(configs[0]);
+  const auto record = service.evaluate_batch({configs[0]}).front();
   EXPECT_EQ(record.status, flow::RunStatus::kFailed);
   EXPECT_EQ(record.attempts, 1u);
   EXPECT_EQ(flaky.attempts_seen(configs[0]), 1u);
@@ -172,7 +172,7 @@ TEST(EvalService, DeadlineClassifiesSlowRunsAsTimedOut) {
   opt.run_deadline = std::chrono::milliseconds(1);
   flow::EvalService service(slow, space, opt);
 
-  const auto record = service.evaluate(configs[0]);
+  const auto record = service.evaluate_batch({configs[0]}).front();
   EXPECT_EQ(record.status, flow::RunStatus::kTimedOut);
   // A run past its deadline is NOT retried: a retry could only finish even
   // further past the deadline, so the one slow attempt is final.
@@ -434,7 +434,7 @@ TEST(EvalService, RetryBackoffPastDeadlineSpendsNoToolRun) {
 
   // The retry's backoff ends past the deadline. The deadline is checked at
   // dispatch, after the backoff, so the retry never reaches the tool.
-  const auto record = service.evaluate(configs[0]);
+  const auto record = service.evaluate_batch({configs[0]}).front();
   EXPECT_EQ(flaky.attempts_seen(configs[0]), 1u);
   EXPECT_EQ(record.status, flow::RunStatus::kTimedOut);
   EXPECT_EQ(record.attempts, 1u);
@@ -498,7 +498,7 @@ TEST(EvalService, WatchdogCancelsHungRunPermanently) {
   // cancellation must be PERMANENT (one attempt, no retry into another
   // hang).
   oracle.hang.store(true);
-  const auto record = service.evaluate(configs[6]);
+  const auto record = service.evaluate_batch({configs[6]}).front();
   EXPECT_TRUE(oracle.saw_cancel.load());
   EXPECT_EQ(record.status, flow::RunStatus::kTimedOut);
   EXPECT_EQ(record.attempts, 1u);

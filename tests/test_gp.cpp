@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "direct_kernel.hpp"
+#include "predict_one.hpp"
 
 namespace ppat::gp {
 namespace {
@@ -29,7 +30,7 @@ TEST(GaussianProcess, InterpolatesNoiselessData) {
   for (const auto& x : xs) ys.push_back(std::sin(6.0 * x[0]));
   gp.fit(xs, ys);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto p = gp.predict(xs[i]);
+    const auto p = testing::predict_one(gp, xs[i]);
     EXPECT_NEAR(p.mean, ys[i], 1e-3);
     EXPECT_LT(p.variance, 1e-3);
   }
@@ -38,15 +39,15 @@ TEST(GaussianProcess, InterpolatesNoiselessData) {
 TEST(GaussianProcess, UncertaintyGrowsAwayFromData) {
   auto gp = make_gp(0.2);
   gp.fit({{0.0}, {0.2}}, {1.0, 2.0});
-  const auto near = gp.predict({0.1});
-  const auto far = gp.predict({0.9});
+  const auto near = testing::predict_one(gp, {0.1});
+  const auto far = testing::predict_one(gp, {0.9});
   EXPECT_LT(near.variance, far.variance);
 }
 
 TEST(GaussianProcess, PredictionBetweenPointsIsReasonable) {
   auto gp = make_gp(0.5);
   gp.fit({{0.0}, {1.0}}, {0.0, 10.0});
-  const auto mid = gp.predict({0.5});
+  const auto mid = testing::predict_one(gp, {0.5});
   EXPECT_GT(mid.mean, 2.0);
   EXPECT_LT(mid.mean, 8.0);
 }
@@ -58,16 +59,16 @@ TEST(GaussianProcess, StandardizationHandlesLargeScales) {
   linalg::Vector ys;
   for (const auto& x : xs) ys.push_back(3.0e5 + 2.0e4 * std::sin(4.0 * x[0]));
   gp.fit(xs, ys);
-  const auto p = gp.predict(xs[2]);
+  const auto p = testing::predict_one(gp, xs[2]);
   EXPECT_NEAR(p.mean, ys[2], 1e3);
 }
 
 TEST(GaussianProcess, AddObservationRefinesPrediction) {
   auto gp = make_gp(0.3);
   gp.fit({{0.0}, {1.0}}, {0.0, 0.0});
-  const auto before = gp.predict({0.5});
+  const auto before = testing::predict_one(gp, {0.5});
   gp.add_observation({0.5}, 5.0);
-  const auto after = gp.predict({0.5});
+  const auto after = testing::predict_one(gp, {0.5});
   EXPECT_NEAR(after.mean, 5.0, 0.5);
   EXPECT_LT(after.variance, before.variance);
   EXPECT_EQ(gp.num_points(), 3u);
@@ -83,7 +84,7 @@ TEST(GaussianProcess, PredictBatchMatchesSingle) {
   linalg::Vector means, vars;
   gp.predict_batch(queries, means, vars);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto p = gp.predict(queries[i]);
+    const auto p = testing::predict_one(gp, queries[i]);
     EXPECT_NEAR(means[i], p.mean, 1e-10);
     EXPECT_NEAR(vars[i], p.variance, 1e-10);
   }
@@ -155,7 +156,7 @@ TEST(GaussianProcess, FitRejectsBadInput) {
   auto gp = make_gp();
   EXPECT_THROW(gp.fit({}, {}), std::invalid_argument);
   EXPECT_THROW(gp.fit({{0.0}}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(gp.predict({0.0}), std::runtime_error);
+  EXPECT_THROW(testing::predict_one(gp, {0.0}), std::runtime_error);
 }
 
 TEST(GaussianProcess, ConstructorValidates) {
@@ -170,7 +171,7 @@ TEST(GaussianProcess, DuplicateInputsHandledByJitter) {
   // Exactly coincident inputs make the kernel matrix singular; jitter must
   // rescue the factorization.
   gp.fit({{0.5}, {0.5}, {0.5}}, {1.0, 1.0, 1.0});
-  const auto p = gp.predict({0.5});
+  const auto p = testing::predict_one(gp, {0.5});
   EXPECT_NEAR(p.mean, 1.0, 1e-2);
 }
 

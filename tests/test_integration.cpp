@@ -80,7 +80,9 @@ TEST_F(IntegrationTest, PpatunerBeatsRandomSubset) {
   std::vector<std::size_t> rand_idx =
       rng.sample_without_replacement(rand_pool.size(), result.tool_runs);
   std::vector<pareto::Point> rand_pts;
-  for (std::size_t i : rand_idx) rand_pts.push_back(rand_pool.reveal(i));
+  for (const auto& outcome : rand_pool.reveal_batch(rand_idx)) {
+    rand_pts.push_back(outcome.value);
+  }
   tuner::TuningResult rand_result;
   for (std::size_t f : pareto::pareto_front_indices(rand_pts)) {
     rand_result.pareto_indices.push_back(rand_idx[f]);

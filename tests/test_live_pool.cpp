@@ -40,12 +40,14 @@ TEST(LiveCandidatePool, RevealMatchesBenchmarkGolden) {
   ASSERT_EQ(live.size(), bench.size());
   ASSERT_EQ(live.encoded(), bench.encoded());
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live.reveal(i), bench.reveal(i)) << "candidate " << i;
+    EXPECT_EQ(live.reveal_batch({i}).front().value,
+              bench.reveal_batch({i}).front().value)
+        << "candidate " << i;
   }
   EXPECT_EQ(live.runs(), bench.runs());
   // Repeat reveals are memoized: no further tool runs.
   const std::size_t runs_before = oracle.run_count();
-  live.reveal(0);
+  live.reveal_batch({0});
   live.reveal_batch({0, 1, 2});
   EXPECT_EQ(oracle.run_count(), runs_before);
   EXPECT_EQ(live.runs(), bench.runs());
@@ -101,7 +103,7 @@ TEST(LiveCandidatePool, PermanentFailureQuarantinesWithoutRedispatch) {
   ASSERT_LT(doomed, set.configs.size())
       << "seed produced no permanently failing candidate";
 
-  EXPECT_THROW(live.reveal(doomed), tuner::PoolEvaluationError);
+  EXPECT_FALSE(live.reveal_batch({doomed}).front().ok);
   EXPECT_TRUE(live.is_failed(doomed));
   EXPECT_FALSE(live.is_revealed(doomed));
   EXPECT_EQ(live.runs(), 0u);
@@ -113,7 +115,7 @@ TEST(LiveCandidatePool, PermanentFailureQuarantinesWithoutRedispatch) {
   // A known-failed candidate is never re-dispatched: the failure is
   // remembered, the tool is not re-run.
   const std::size_t calls_before = fault.run_count();
-  EXPECT_THROW(live.reveal(doomed), tuner::PoolEvaluationError);
+  EXPECT_FALSE(live.reveal_batch({doomed}).front().ok);
   const auto outcomes = live.reveal_batch({doomed});
   EXPECT_FALSE(outcomes.front().ok);
   EXPECT_FALSE(outcomes.front().error.empty());

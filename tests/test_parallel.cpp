@@ -25,7 +25,9 @@ class ParallelTest : public ::testing::Test {
 TEST_F(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
   ASSERT_EQ(current_thread_pool().num_threads(), 4u);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for_blocks(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -50,14 +52,18 @@ TEST_F(ParallelTest, ParallelForBlocksPartitionIsExact) {
 }
 
 TEST_F(ParallelTest, ParallelForPropagatesExceptions) {
-  EXPECT_THROW(parallel_for(0, 100,
-                            [](std::size_t i) {
-                              if (i == 37) throw std::runtime_error("boom");
-                            }),
+  EXPECT_THROW(parallel_for_blocks(0, 100,
+                                   [](std::size_t lo, std::size_t hi) {
+                                     if (lo <= 37 && 37 < hi) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
                std::runtime_error);
   // The pool must remain usable after a throwing run.
   std::atomic<int> ok{0};
-  parallel_for(0, 10, [&](std::size_t) { ok.fetch_add(1); });
+  parallel_for_blocks(0, 10, [&](std::size_t lo, std::size_t hi) {
+    ok.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(ok.load(), 10);
 }
 
@@ -76,9 +82,11 @@ TEST_F(ParallelTest, NestedParallelWorkRunsInlineWithoutDeadlock) {
   TaskGroup group;
   for (int t = 0; t < 4; ++t) {
     group.run([&total] {
-      // A pool task issuing its own parallel_for must not re-enter the
-      // queue (deadlock risk with all workers busy); it runs inline.
-      parallel_for(0, 100, [&total](std::size_t) { total.fetch_add(1); });
+      // A pool task issuing its own parallel_for_blocks must not re-enter
+      // the queue (deadlock risk with all workers busy); it runs inline.
+      parallel_for_blocks(0, 100, [&total](std::size_t lo, std::size_t hi) {
+        total.fetch_add(static_cast<int>(hi - lo));
+      });
     });
   }
   group.wait();
@@ -91,7 +99,9 @@ TEST_F(ParallelTest, SingleThreadRunsInlineInOrder) {
   std::vector<std::size_t> order;
   // No pool threads exist, so unsynchronized appends are safe iff the work
   // really runs inline — and in ascending order.
-  parallel_for(0, 50, [&](std::size_t i) { order.push_back(i); });
+  parallel_for_blocks(0, 50, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) order.push_back(i);
+  });
   ASSERT_EQ(order.size(), 50u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 
@@ -105,7 +115,9 @@ TEST_F(ParallelTest, SingleThreadRunsInlineInOrder) {
 }
 
 TEST_F(ParallelTest, EmptyRangeAndEmptyGroupAreNoOps) {
-  parallel_for(10, 10, [](std::size_t) { FAIL() << "must not run"; });
+  parallel_for_blocks(10, 10, [](std::size_t, std::size_t) {
+    FAIL() << "must not run";
+  });
   TaskGroup group;
   group.wait();  // nothing scheduled
 }
@@ -118,7 +130,9 @@ TEST_F(ParallelTest, ScopedPoolRedirectsParallelWorkOnThisThread) {
     EXPECT_EQ(&current_thread_pool(), &session_pool);
     // Work routed through the override must still cover the range exactly.
     std::vector<std::atomic<int>> hits(500);
-    parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallel_for_blocks(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+    });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     }
@@ -154,7 +168,7 @@ TEST_F(ParallelTest, ScopedPoolIsThreadLocalAcrossConcurrentSessions) {
 
 TEST_F(ParallelTest, CrossPoolNestedWorkRunsInlineUnderSaturation) {
   // Satellite regression (reentrancy fix): a worker of pool A reaching a
-  // parallel_for while pool B is saturated — or targeting its own saturated
+  // parallel_for_blocks while pool B is saturated — or targeting its own saturated
   // pool — must fall back to inline execution (ThreadPool::in_worker), not
   // block on a queue that can never drain. Before the fix this deadlocked
   // under multi-session contention; with it, the test completes.
@@ -164,10 +178,12 @@ TEST_F(ParallelTest, CrossPoolNestedWorkRunsInlineUnderSaturation) {
   for (int t = 0; t < 8; ++t) {  // 4x oversubscribed: the pool IS saturated
     outer.run([&total] {
       EXPECT_TRUE(ThreadPool::in_worker());
-      // Nested constructs from a worker: both the element-wise and the
-      // grouped form, targeting the worker thread's current pool, the
-      // global one (a DIFFERENT pool than the one this worker belongs to).
-      parallel_for(0, 50, [&total](std::size_t) { total.fetch_add(1); });
+      // Nested constructs from a worker: both the block and the grouped
+      // form, targeting the worker thread's current pool, the global one (a
+      // DIFFERENT pool than the one this worker belongs to).
+      parallel_for_blocks(0, 50, [&total](std::size_t lo, std::size_t hi) {
+        total.fetch_add(static_cast<int>(hi - lo));
+      });
       TaskGroup inner;
       for (int k = 0; k < 3; ++k) {
         inner.run([&total] { total.fetch_add(1); });

@@ -139,7 +139,11 @@ TEST(PPATunerPaths, EmptyPoolThrows) {
     const std::vector<std::size_t>& objectives() const override {
       return objectives_;
     }
-    pareto::Point reveal(std::size_t) override { return {}; }
+    std::vector<RevealOutcome> reveal_batch(
+        const std::vector<std::size_t>& indices,
+        const RevealObserver& = {}) override {
+      return std::vector<RevealOutcome>(indices.size());
+    }
     bool is_revealed(std::size_t) const override { return false; }
     std::size_t runs() const override { return 0; }
 

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "gp/gp.hpp"
 #include "pareto/pareto.hpp"
+#include "predict_one.hpp"
 #include "sta/optimizer.hpp"
 
 namespace ppat {
@@ -116,11 +117,11 @@ TEST(GpPosterior, VarianceContractsWithData) {
       std::make_unique<gp::SquaredExponentialKernel>(0.3, 1.0), 1e-4);
   model.fit({{0.0}, {1.0}}, {0.0, 1.0});
   const linalg::Vector probe = {0.5};
-  double prev = model.predict(probe).variance;
+  double prev = testing::predict_one(model, probe).variance;
   for (int i = 0; i < 6; ++i) {
     const double x = rng.uniform01();
     model.add_observation({x}, x);
-    const double now = model.predict(probe).variance;
+    const double now = testing::predict_one(model, probe).variance;
     EXPECT_LE(now, prev + 1e-9) << "observation " << i;
     prev = now;
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "direct_kernel.hpp"
+#include "predict_one.hpp"
 
 namespace ppat::gp {
 namespace {
@@ -67,8 +68,8 @@ TEST(TransferGp, CorrelatedSourceImprovesPrediction) {
   for (int i = 0; i < 50; ++i) {
     const double x = static_cast<double>(i) / 49.0;
     const double truth = f_target(x);
-    err_transfer += std::fabs(tgp.predict({x}).mean - truth);
-    err_plain += std::fabs(plain.predict({x}).mean - truth);
+    err_transfer += std::fabs(testing::predict_one(tgp, {x}).mean - truth);
+    err_plain += std::fabs(testing::predict_one(plain, {x}).mean - truth);
   }
   EXPECT_LT(err_transfer, err_plain);
   // And the learned correlation should be strongly positive.
@@ -90,7 +91,8 @@ TEST(TransferGp, HandlesCrossTaskScaleMismatch) {
   double err = 0.0;
   for (int i = 0; i < 25; ++i) {
     const double x = static_cast<double>(i) / 24.0;
-    err += std::fabs(tgp.predict({x}).mean - (5000.0 + 100.0 * f_source(x)));
+    err += std::fabs(testing::predict_one(tgp, {x}).mean -
+                     (5000.0 + 100.0 * f_source(x)));
   }
   // Mean absolute error well under the target's own std (~70).
   EXPECT_LT(err / 25.0, 40.0);
@@ -118,7 +120,7 @@ TEST(TransferGp, EmptySourceDegradesToPlainGp) {
   auto tgp = make_tgp();
   tgp.fit({}, {}, tgt.xs, tgt.ys);
   for (std::size_t i = 0; i < tgt.xs.size(); ++i) {
-    EXPECT_NEAR(tgp.predict(tgt.xs[i]).mean, tgt.ys[i], 0.15);
+    EXPECT_NEAR(testing::predict_one(tgp, tgt.xs[i]).mean, tgt.ys[i], 0.15);
   }
 }
 
@@ -127,9 +129,9 @@ TEST(TransferGp, AddTargetObservationRefines) {
   const auto tgt = sample_task(f_target, 3, 52);
   auto tgp = make_tgp();
   tgp.fit(src.xs, src.ys, tgt.xs, tgt.ys);
-  const auto before = tgp.predict({0.5});
+  const auto before = testing::predict_one(tgp, {0.5});
   tgp.add_observation({0.5}, f_target(0.5));
-  const auto after = tgp.predict({0.5});
+  const auto after = testing::predict_one(tgp, {0.5});
   EXPECT_LT(after.variance, before.variance + 1e-12);
   EXPECT_NEAR(after.mean, f_target(0.5), 0.1);
   EXPECT_EQ(tgp.num_target_points(), 4u);
@@ -144,7 +146,7 @@ TEST(TransferGp, PredictBatchMatchesSingle) {
   linalg::Vector means, vars;
   tgp.predict_batch(queries, means, vars);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto p = tgp.predict(queries[i]);
+    const auto p = testing::predict_one(tgp, queries[i]);
     EXPECT_NEAR(means[i], p.mean, 1e-10);
     EXPECT_NEAR(vars[i], p.variance, 1e-10);
   }
@@ -154,7 +156,7 @@ TEST(TransferGp, RequiresTargetData) {
   auto tgp = make_tgp();
   const auto src = sample_task(f_source, 5, 71);
   EXPECT_THROW(tgp.fit(src.xs, src.ys, {}, {}), std::invalid_argument);
-  EXPECT_THROW(tgp.predict({0.5}), std::runtime_error);
+  EXPECT_THROW(testing::predict_one(tgp, {0.5}), std::runtime_error);
 }
 
 TEST(TransferGp, JointLikelihoodFiniteAndImproves) {

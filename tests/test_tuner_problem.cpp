@@ -24,10 +24,10 @@ TEST_F(PoolTest, RevealCountsFirstTimeOnly) {
   BenchmarkCandidatePool pool(&bench_, kPowerDelay);
   EXPECT_EQ(pool.runs(), 0u);
   EXPECT_FALSE(pool.is_revealed(5));
-  const auto y1 = pool.reveal(5);
+  const auto y1 = pool.reveal_batch({5}).front().value;
   EXPECT_EQ(pool.runs(), 1u);
   EXPECT_TRUE(pool.is_revealed(5));
-  const auto y2 = pool.reveal(5);
+  const auto y2 = pool.reveal_batch({5}).front().value;
   EXPECT_EQ(pool.runs(), 1u);  // repeat is free
   EXPECT_EQ(y1, y2);
 }
