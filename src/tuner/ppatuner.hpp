@@ -22,7 +22,7 @@
 // data (PPATuner proper) or plain per-objective GPs (the no-transfer
 // ablation). The TCAD'19 baseline is not this loop — it runs its own
 // predicted-front active-learning loop to a fixed budget
-// (src/baselines/tcad19.cpp).
+// (src/baselines/gp_baselines.cpp).
 #pragma once
 
 #include <cstdint>
